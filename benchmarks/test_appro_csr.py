@@ -7,9 +7,9 @@ combination sweep — makes the end-to-end ``Appro_Multi`` per-request
 latency at least **5×** faster than the dict path, while decoding
 bit-identical trees (dict insertion order included).
 
-The dict path is ``appro_multi_reference`` under the ``dict`` backend: the
-seed engine that round-trips through dict ``Graph`` objects for
-auxiliary-graph construction, metric closure, KMB, and MST on every server
+The dict path is ``appro_multi_reference``: the seed engine that
+round-trips through dict ``Graph`` objects for auxiliary-graph
+construction, Dijkstra, metric closure, KMB, and MST on every server
 combination.  Timing is best-of-rounds with the two engines interleaved
 inside each round, cold caches per round; tree identity is verified outside
 the timed region.  Results merge into ``BENCH_csr.json`` under ``"appro"``,

@@ -1,6 +1,6 @@
 """Bench: compiled CSR Dijkstra engine vs the dict engine.
 
-The tentpole claim of the CSR backend (``repro.graph.csr``): compiling a
+The claim of the CSR kernel (``repro.graph.csr``): compiling a
 topology once into flat integer-indexed arrays makes every subsequent
 single-source Dijkstra at least **2×** faster than the dict-of-dict engine,
 while decoding to bit-identical :class:`ShortestPathTree` results.  Two

@@ -9,7 +9,6 @@ Examples::
     python -m repro.cli bench
     python -m repro.cli bench --target csr --quick
     python -m repro.cli demo
-    python -m repro.cli fig5 --graph-backend dict
     python -m repro.cli stream --requests 10000 --out run.jsonl \
         --trace run.trace.json --dashboard
     python -m repro.cli watch run.jsonl
@@ -54,25 +53,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     _build_lint_parser(lint)
 
-    def _add_graph_backend(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument(
-            "--graph-backend",
-            choices=("dict", "csr"),
-            default=None,
-            metavar="NAME",
-            help=(
-                "shortest-path engine: 'csr' (default; compiled adjacency) "
-                "or 'dict' (reference engine); overrides the "
-                "REPRO_GRAPH_BACKEND env var, results are identical"
-            ),
-        )
-
     demo = subparsers.add_parser(
         "demo", help="run a 30-second end-to-end demonstration"
     )
     demo.add_argument("--size", type=int, default=50, help="network size")
     demo.add_argument("--seed", type=int, default=7, help="RNG seed")
-    _add_graph_backend(demo)
 
     bench = subparsers.add_parser(
         "bench",
@@ -113,7 +98,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="smaller workloads for CI smoke runs (noisier numbers)",
     )
-    _add_graph_backend(bench)
 
     stream = subparsers.add_parser(
         "stream",
@@ -204,7 +188,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "every value"
         ),
     )
-    _add_graph_backend(stream)
 
     watch = subparsers.add_parser(
         "watch",
@@ -275,7 +258,6 @@ def _build_parser() -> argparse.ArgumentParser:
                 "identical for every value"
             ),
         )
-        _add_graph_backend(sub)
     return parser
 
 
@@ -533,11 +515,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.lint.cli import run as run_lint
 
         return run_lint(args)
-
-    if getattr(args, "graph_backend", None) is not None:
-        from repro.graph import set_graph_backend
-
-        set_graph_backend(args.graph_backend)
 
     if args.command == "demo":
         _run_demo(args.size, args.seed)

@@ -48,10 +48,8 @@ from repro.core.delay_aware import (
     delay_aware_multicast,
 )
 from repro.core.fasteval import (
-    CombinationEvaluator,
     CSRCombinationEvaluator,
     CSRSubsetSolution,
-    make_evaluator,
 )
 from repro.core.exact import (
     optimal_auxiliary_cost,
@@ -77,11 +75,9 @@ __all__ = [
     "appro_multi_reference",
     "ApproMultiResult",
     "AuxiliaryCSR",
-    "CombinationEvaluator",
     "CSRCombinationEvaluator",
     "CSRSubsetSolution",
     "FlatContext",
-    "make_evaluator",
     "DEFAULT_MAX_SERVERS",
     "OnlineCP",
     "OnlineCPK",

@@ -28,7 +28,7 @@ from repro.core.auxiliary import (
     evaluate_combination,
     iter_combinations,
 )
-from repro.core.fasteval import AnySolution, make_evaluator
+from repro.core.fasteval import AnySolution, CSRCombinationEvaluator
 from repro.core.pseudo_tree import PseudoMulticastTree
 from repro.exceptions import InfeasibleRequestError
 from repro.network.sdn import SDNetwork
@@ -94,12 +94,11 @@ def _search(
 ) -> ApproMultiResult:
     """Enumerate combinations and keep the cheapest KMB tree.
 
-    Uses the memoized evaluator (:func:`make_evaluator` picks the
-    CSR-native flat core when the context carries a flat workspace, the
-    dict :class:`~repro.core.fasteval.CombinationEvaluator` otherwise —
-    bit-identical either way) in two passes: a cheap lower-bound pre-pass
-    (no trees computed), then full evaluation in *ascending bound order*
-    so the incumbent tightens as early as possible and prunes most full
+    Uses the memoized CSR-native evaluator
+    (:class:`~repro.core.fasteval.CSRCombinationEvaluator`, which needs a
+    cache-built context) in two passes: a cheap lower-bound pre-pass (no
+    trees computed), then full evaluation in *ascending bound order* so the
+    incumbent tightens as early as possible and prunes most full
     evaluations.  The result is exactly that of :func:`_search_reference`
     in every case, including cost ties: a combination is skipped only when
     its admissible bound strictly exceeds the incumbent (it can then
@@ -109,7 +108,7 @@ def _search(
     first-strict-improvement loop selects.  Only the evaluated/pruned
     statistics may differ.
     """
-    evaluator = make_evaluator(ctx)
+    evaluator = CSRCombinationEvaluator(ctx)
     with _obs_span("enumerate"):
         combinations = list(
             iter_combinations(ctx.candidate_servers, max_servers)

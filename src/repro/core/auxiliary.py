@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import EdgeNotFoundError, InfeasibleRequestError
-from repro.graph.backend import graph_backend
 from repro.graph.csr import CSRGraph
 from repro.graph.graph import Graph, Node
 from repro.graph.mst import kruskal_mst, prim_mst
@@ -287,7 +286,7 @@ class AuxiliaryContext:
         sp: Dijkstra trees keyed by origin, covering the source, every
             destination, and every candidate server.
         flat: the integer-id projection driving the CSR-native evaluator;
-            ``None`` under the dict backend (or uncached construction).
+            ``None`` for the uncached reference construction.
     """
 
     scaled: Graph
@@ -429,10 +428,10 @@ def _build_context_cached(
         )
 
     # Feasibility established: fill every miss in one batched sweep (a
-    # dijkstra_many over the cache's compiled view under the CSR backend),
-    # then wrap the now-cached unit trees.  The trees are the ones the
-    # per-origin pulls below would have computed lazily — warming moves
-    # work, it never changes a result.
+    # dijkstra_many over the cache's compiled view), then wrap the
+    # now-cached unit trees.  The trees are the ones the per-origin pulls
+    # below would have computed lazily — warming moves work, it never
+    # changes a result.
     cache.warm(list(destinations) + list(reachable_servers))
     for destination in destinations:
         sp[destination] = cache.scaled_tree(destination, bandwidth)
@@ -447,21 +446,18 @@ def _build_context_cached(
         v for v in reachable_servers if scaled.has_edge(source, v)
     )
     unique_destinations = tuple(dict.fromkeys(destinations))
-    # Under the CSR backend, project the context into the compiled view's
-    # index space once; the whole combination sweep then runs on flat
-    # arrays (see fasteval.CSRCombinationEvaluator) and decodes only the
-    # winning tree.
-    flat: Optional[FlatContext] = None
-    if graph_backend() == "csr":
-        flat = _build_flat_context(
-            cache,
-            source,
-            unique_destinations,
-            reachable_servers,
-            virtual_weight,
-            adjacent,
-            bandwidth,
-        )
+    # Project the context into the compiled view's index space once; the
+    # whole combination sweep then runs on flat arrays (see
+    # fasteval.CSRCombinationEvaluator) and decodes only the winning tree.
+    flat = _build_flat_context(
+        cache,
+        source,
+        unique_destinations,
+        reachable_servers,
+        virtual_weight,
+        adjacent,
+        bandwidth,
+    )
     return AuxiliaryContext(
         scaled=scaled,
         source=source,

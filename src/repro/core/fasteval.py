@@ -12,19 +12,20 @@ set* ``Z = combination ∩ adjacent_servers`` — not on the combination itself:
 
 Since ``K`` is small and only servers adjacent to the source produce zero
 edges, the number of distinct zero sets is far smaller than the number of
-combinations, so :class:`CombinationEvaluator` memoizes all three by zero
+combinations, so :class:`CSRCombinationEvaluator` memoizes all three by zero
 set and replays :func:`~repro.core.auxiliary.evaluate_combination` from the
-memos.  The replay constructs byte-identical :class:`~repro.graph.graph.Graph`
-objects (same node/edge insertion order, same floats) and runs the very same
-``prim_mst`` / ``kruskal_mst`` / ``prune_leaves`` calls, so the returned
-:class:`~repro.core.auxiliary.SubsetSolution` is **bit-for-bit identical** to
-the reference evaluator's — the differential test harness holds this to
+memos on flat integer arrays.  The replay runs the same float operations on
+the same operands in the same order and replicates every tie-break of the
+``prim_mst`` / ``kruskal_mst`` / ``prune_leaves`` pipeline, so its decoded
+solution is **bit-for-bit identical** to the reference evaluator's, dict
+insertion order included — the differential test harness holds this to
 account on seeded instances.
 
-:meth:`CombinationEvaluator.lower_bound` additionally exposes an admissible
-bound — any tree for the combination contains, for every destination ``y``,
-a path ``s' → y`` of weight at least the closure edge ``(s', y)`` — which the
-search uses to skip whole combinations without touching an MST.
+:meth:`CSRCombinationEvaluator.lower_bound` additionally exposes an
+admissible bound — any tree for the combination contains, for every
+destination ``y``, a path ``s' → y`` of weight at least the closure edge
+``(s', y)`` — which the search uses to skip whole combinations without
+touching an MST.
 """
 
 from __future__ import annotations
@@ -40,318 +41,17 @@ from repro.core.auxiliary import (
     _CASE_DOUBLE,
     _CASE_ENTRY,
     _CASE_EXIT,
-    _modified_distance,
-    _modified_path,
 )
 from repro.exceptions import EdgeNotFoundError
 from repro.graph.graph import Graph, Node
-from repro.graph.mst import kruskal_mst, prim_mst
 from repro.graph.shortest_paths import INFINITY
-from repro.graph.tree import prune_leaves
 from repro.obs import inc as _obs_inc, span as _obs_span
 
-#: ``(distance, case, v1, v2)`` as produced by ``_modified_distance``.
-_Entry = Tuple[float, int, Optional[Node], Optional[Node]]
-#: An expanded path as ``(u, v, weight)`` triples in traversal order.
-_EdgeList = Tuple[Tuple[Node, Node, float], ...]
-
-#: Sentinel returned by :meth:`CombinationEvaluator.evaluate` when the
+#: Sentinel returned by :meth:`CSRCombinationEvaluator.evaluate` when the
 #: admissible lower bound already proves the combination cannot beat the
 #: incumbent, so no tree was (or needed to be) computed.
 PRUNED = object()
 
-
-class _ClosureData:
-    """Dest–dest closure state shared by every combination of one zero set."""
-
-    __slots__ = ("template", "pair_choice")
-
-    def __init__(self, template: Graph, pair_choice: Dict) -> None:
-        #: Closure graph with ``s'`` present but its edges not yet added.
-        self.template = template
-        #: ``(x, y) → ("real", case, v1, v2)`` for destination pairs.
-        self.pair_choice = pair_choice
-
-
-class CombinationEvaluator:
-    """Evaluate server combinations of one request with shared memos.
-
-    One instance per :class:`~repro.core.auxiliary.AuxiliaryContext`; not
-    thread-safe (the search is sequential).
-    """
-
-    __slots__ = (
-        "_ctx",
-        "_closures",
-        "_vrows",
-        "_paths",
-        "_solutions",
-        "_winner_memo",
-    )
-
-    def __init__(self, ctx: AuxiliaryContext) -> None:
-        self._ctx = ctx
-        #: zero set → closure data, or ``None`` if a dest pair is unreachable.
-        self._closures: Dict[Tuple[Node, ...], Optional[_ClosureData]] = {}
-        #: ``(zero set, server)`` → per-destination modified-distance row.
-        self._vrows: Dict[Tuple, Tuple[_Entry, ...]] = {}
-        #: ``(zero set, a, b)`` → expanded edges realizing the closure edge.
-        self._paths: Dict[Tuple, _EdgeList] = {}
-        #: ``(zero set, members)`` → (winner list, lower bound); shared
-        #: between the bound pre-pass and the evaluation itself.
-        self._winner_memo: Dict[Tuple, Tuple[Optional[List[Tuple]], float]] = {}
-        #: ``(zero set, winner vector)`` → finished solution.  The KMB tree
-        #: depends on the combination only through the zero set and the
-        #: per-destination ``s'``-edge winners, so combinations sharing both
-        #: share the whole answer.
-        self._solutions: Dict[Tuple, Optional[SubsetSolution]] = {}
-
-    # ------------------------------------------------------------------
-    # memoized building blocks
-    # ------------------------------------------------------------------
-    def _closure(self, zero_key: Tuple[Node, ...]) -> Optional[_ClosureData]:
-        """Return the dest–dest closure for a zero set (``None``: infeasible)."""
-        try:
-            return self._closures[zero_key]
-        except KeyError:
-            pass
-        ctx = self._ctx
-        destinations = ctx.destinations
-        template = Graph()
-        template.add_node(VIRTUAL_SOURCE)
-        for terminal in destinations:
-            template.add_node(terminal)
-        pair_choice: Dict[Tuple[Node, Node], Tuple] = {}
-        data: Optional[_ClosureData] = _ClosureData(template, pair_choice)
-        for i, x in enumerate(destinations):
-            for y in destinations[i + 1 :]:
-                dist, case, v1, v2 = _modified_distance(ctx, zero_key, x, y)
-                if dist == INFINITY:
-                    data = None  # capacitated pruning disconnected a pair
-                    break
-                template.add_edge(x, y, dist)
-                pair_choice[(x, y)] = ("real", case, v1, v2)
-            if data is None:
-                break
-        self._closures[zero_key] = data
-        return data
-
-    def _vrow(
-        self, zero_key: Tuple[Node, ...], server: Node
-    ) -> Tuple[_Entry, ...]:
-        """Return ``server``'s modified distances to every destination."""
-        key = (zero_key, server)
-        row = self._vrows.get(key)
-        if row is None:
-            ctx = self._ctx
-            row = tuple(
-                _modified_distance(ctx, zero_key, server, y)
-                for y in ctx.destinations
-            )
-            self._vrows[key] = row
-        return row
-
-    def _path_edges(
-        self,
-        zero_key: Tuple[Node, ...],
-        a: Node,
-        b: Node,
-        case: int,
-        v1: Optional[Node],
-        v2: Optional[Node],
-    ) -> _EdgeList:
-        """Return the expanded ``(u, v, weight)`` edges for one closure edge."""
-        key = (zero_key, a, b)
-        edges = self._paths.get(key)
-        if edges is None:
-            ctx = self._ctx
-            path = _modified_path(ctx, a, b, case, v1, v2)
-            source, scaled = ctx.source, ctx.scaled
-            zero = set(zero_key)
-            triples: List[Tuple[Node, Node, float]] = []
-            for u, v in zip(path, path[1:]):
-                if (u == source and v in zero) or (v == source and u in zero):
-                    triples.append((u, v, 0.0))
-                else:
-                    triples.append((u, v, scaled.weight(u, v)))
-            edges = tuple(triples)
-            self._paths[key] = edges
-        return edges
-
-    def _winners_for(
-        self, zero_key: Tuple[Node, ...], members: Tuple[Node, ...]
-    ) -> Tuple[Optional[List[Tuple]], float]:
-        """Memoized :meth:`_winners` (lower_bound and evaluate share it)."""
-        key = (zero_key, members)
-        cached = self._winner_memo.get(key)
-        if cached is None:
-            cached = self._winners(zero_key, members)
-            self._winner_memo[key] = cached
-        return cached
-
-    def _winners(
-        self, zero_key: Tuple[Node, ...], members: Sequence[Node]
-    ) -> Tuple[Optional[List[Tuple]], float]:
-        """Pick the cheapest ``s'`` closure edge per destination.
-
-        Returns ``(winner list, lower bound)`` where the winner for
-        destination index ``i`` is ``(total, server, case, v1, v2)`` exactly
-        as the reference evaluator would choose it (same iteration order,
-        same floats), and the lower bound is the largest winner total — an
-        admissible bound because any feasible tree contains, for every
-        destination, a path from ``s'`` of at least that closure-edge
-        weight.  Infeasible destinations yield ``(None, INFINITY)``.
-        """
-        ctx = self._ctx
-        virtual_weight = ctx.virtual_weight
-        vrows = self._vrows
-        rows = []
-        for v in members:
-            key = (zero_key, v)
-            row = vrows.get(key)
-            if row is None:
-                row = self._vrow(zero_key, v)
-            rows.append((virtual_weight[v], v, row))
-        winners: List[Tuple] = []
-        bound = 0.0
-        for index in range(len(ctx.destinations)):
-            best_total = INFINITY
-            best = None
-            for weight, v, row in rows:
-                dist, case, v1, v2 = row[index]
-                total = weight + dist
-                if total < best_total:
-                    best_total = total
-                    best = (total, v, case, v1, v2)
-            if best is None or best_total == INFINITY:
-                return None, INFINITY
-            winners.append(best)
-            if best_total > bound:
-                bound = best_total
-        return winners, bound
-
-    # ------------------------------------------------------------------
-    # public interface
-    # ------------------------------------------------------------------
-    def lower_bound(self, combination: Sequence[Node]) -> float:
-        """Admissible cost lower bound for ``combination``.
-
-        Returns :data:`~repro.graph.shortest_paths.INFINITY` when the
-        combination is infeasible (evaluation would return ``None``).
-        """
-        ctx = self._ctx
-        members = tuple(v for v in combination if v in ctx.virtual_weight)
-        if not members:
-            return INFINITY
-        zero_key = tuple(v for v in members if v in ctx.adjacent_servers)
-        if self._closure(zero_key) is None:
-            return INFINITY
-        return self._winners_for(zero_key, members)[1]
-
-    def evaluate(
-        self, combination: Sequence[Node], bound: Optional[float] = None
-    ) -> Optional[SubsetSolution]:
-        """Replay of ``evaluate_combination`` from memos (bit-identical).
-
-        When ``bound`` (the incumbent best cost) is given and the admissible
-        lower bound already reaches it, returns the :data:`PRUNED` sentinel
-        without computing a tree — such a combination can never replace the
-        incumbent under the search's strict-improvement rule.
-        """
-        ctx = self._ctx
-        virtual_weight = ctx.virtual_weight
-        members = tuple(v for v in combination if v in virtual_weight)
-        if not members:
-            return None
-        _obs_inc("fasteval.evaluations")
-        zero_key = tuple(v for v in members if v in ctx.adjacent_servers)
-
-        closure_data = self._closure(zero_key)
-        if closure_data is None:
-            return None
-
-        winners, lower = self._winners_for(zero_key, members)
-        if bound is not None and lower >= bound:
-            _obs_inc("fasteval.bound_pruned")
-            return PRUNED
-        if winners is None:
-            return None
-
-        # The tree depends on the combination only through the zero set and
-        # the chosen winners, so finished answers are shared across
-        # combinations (only the `combination` label needs refreshing).
-        memo_key = (zero_key, tuple(winners))
-        if memo_key in self._solutions:
-            cached = self._solutions[memo_key]
-            _obs_inc("fasteval.solution_memo_hits")
-            if cached is None:
-                return None
-            return SubsetSolution(
-                combination=members,
-                used_servers=cached.used_servers,
-                cost=cached.cost,
-                tree=cached.tree,
-            )
-
-        _obs_inc("fasteval.kmb_trees")
-        with _obs_span("kmb"):
-            destinations = ctx.destinations
-            closure = closure_data.template.copy()
-            pair_choice = closure_data.pair_choice
-            virtual_choice: Dict[Node, Tuple] = {}
-            for y, best in zip(destinations, winners):
-                closure.add_edge(VIRTUAL_SOURCE, y, best[0])
-                virtual_choice[y] = best
-
-            closure_mst = prim_mst(closure)
-
-            expanded = Graph()
-            for u, v, _ in closure_mst.edges():
-                if u is VIRTUAL_SOURCE or v is VIRTUAL_SOURCE:
-                    y = v if u is VIRTUAL_SOURCE else u
-                    _, server, case, v1, v2 = virtual_choice[y]
-                    expanded.add_edge(
-                        VIRTUAL_SOURCE, server, virtual_weight[server]
-                    )
-                    for eu, ev, ew in self._path_edges(
-                        zero_key, server, y, case, v1, v2
-                    ):
-                        expanded.add_edge(eu, ev, ew)
-                else:
-                    a, b = (u, v) if (u, v) in pair_choice else (v, u)
-                    _, case, v1, v2 = pair_choice[(a, b)]
-                    for eu, ev, ew in self._path_edges(
-                        zero_key, a, b, case, v1, v2
-                    ):
-                        expanded.add_edge(eu, ev, ew)
-
-            refined = kruskal_mst(expanded)
-            terminals: List[Node] = [VIRTUAL_SOURCE] + list(destinations)
-            with _obs_span("prune"):
-                pruned = prune_leaves(refined, keep=terminals)
-
-        used = tuple(
-            sorted(
-                (v for v in pruned.neighbors(VIRTUAL_SOURCE)),
-                key=repr,
-            )
-        ) if pruned.has_node(VIRTUAL_SOURCE) else ()
-        if not used:
-            self._solutions[memo_key] = None
-            return None
-        solution = SubsetSolution(
-            combination=members,
-            used_servers=used,
-            cost=pruned.total_weight(),
-            tree=pruned,
-        )
-        self._solutions[memo_key] = solution
-        return solution
-
-
-# ---------------------------------------------------------------------------
-# CSR-native evaluator: the same pipeline on flat integer arrays
-# ---------------------------------------------------------------------------
 
 #: Distinguishes "memoized None" from "not yet memoized" in flat memos.
 _MISSING = object()
@@ -382,7 +82,7 @@ class _FlatTreeBox:
         """Replay the index-space adjacency into a :class:`Graph`.
 
         ``Graph.from_adjacency`` preserves node order and per-node neighbor
-        order exactly, so the decoded tree matches the dict evaluator's
+        order exactly, so the decoded tree matches ``evaluate_combination``'s
         **including dict insertion order** — the differential harness
         compares them field by field.
         """
@@ -437,18 +137,16 @@ class CSRSubsetSolution:
 
 
 class CSRCombinationEvaluator:
-    """Flat-array replica of :class:`CombinationEvaluator` (CSR-native core).
+    """Flat-array replay of ``evaluate_combination`` (CSR-native core).
 
-    Same public surface (:meth:`lower_bound`, :meth:`evaluate`, the
-    :data:`PRUNED` sentinel), same memo structure, and the same floats:
-    every arithmetic operation runs on the same operands in the same order
-    as the dict evaluator (unit Dijkstra rows are multiplied by ``b_k`` at
-    each use site, exactly as ``ScaledDistances`` does), and every
-    tie-break replicates the ``IndexedHeap`` / stable-sort /
-    dict-insertion-order behaviour of the ``Graph`` pipeline.  The decoded
-    winner is therefore bit-identical to the reference, dict insertion
-    order included — the widened differential harness holds both engines
-    to that.
+    Every arithmetic operation runs on the same operands in the same order
+    as :func:`~repro.core.auxiliary.evaluate_combination` (unit Dijkstra
+    rows are multiplied by ``b_k`` at each use site, exactly as
+    ``ScaledDistances`` does), and every tie-break replicates the
+    ``IndexedHeap`` / stable-sort / dict-insertion-order behaviour of its
+    ``Graph`` pipeline.  The decoded winner is therefore bit-identical to
+    the reference, dict insertion order included — the differential
+    harness holds the two to that.
 
     The whole combination sweep shares one workspace: the substrate CSR
     arrays and Dijkstra rows come from the request's
@@ -485,8 +183,8 @@ class CSRCombinationEvaluator:
         flat = ctx.flat
         if flat is None:
             raise ValueError(
-                "context has no flat workspace; build it under the 'csr' "
-                "backend or use CombinationEvaluator"
+                "context has no flat workspace; build it with a "
+                "ShortestPathCache (build_context(..., cache=...))"
             )
         self._ctx = ctx
         self._flat = flat
@@ -499,10 +197,10 @@ class CSRCombinationEvaluator:
         self._dests = dests
         m = len(dests)
         self._ndest = m
-        # Closure-graph adjacency orders, precomputed once.  The dict
-        # evaluator's template adds s' first, then the destinations, then
-        # the dest-pair edges in i<j loop order, and `evaluate` appends the
-        # s' edges last — so with closure ids 0=s' and i=destination i-1,
+        # Closure-graph adjacency orders, precomputed once.  The reference
+        # closure adds s' first, then the destinations, then the dest-pair
+        # edges in i<j loop order, and the s' edges last — so with closure
+        # ids 0=s' and i=destination i-1,
         # node 0's adjacency is (1..m) and node i's is (1..m without i, 0).
         orders: List[Tuple[int, ...]] = [tuple(range(1, m + 1))]
         for i in range(1, m + 1):
@@ -535,8 +233,8 @@ class CSRCombinationEvaluator:
     ) -> Tuple[Tuple[Node, ...], Tuple[int, ...], Tuple[int, ...]]:
         """Project a combination once: (member nodes, member ids, zero ids).
 
-        Order-preserving, exactly like the dict evaluator's member and
-        zero-key filters; memoized because ``lower_bound`` and ``evaluate``
+        Order-preserving, exactly like ``evaluate_combination``'s member
+        and zero-server filters; memoized because ``lower_bound`` and ``evaluate``
         both see every combination.
         """
         key = tuple(combination)
@@ -553,7 +251,7 @@ class CSRCombinationEvaluator:
         return cached
 
     # ------------------------------------------------------------------
-    # memoized building blocks (flat replicas of the dict versions)
+    # memoized building blocks (flat replicas of the auxiliary helpers)
     # ------------------------------------------------------------------
     def _mod(
         self, zero: Tuple[int, ...], a: int, b: int
@@ -564,7 +262,7 @@ class CSRCombinationEvaluator:
         *scaled* floats — the unit rows are multiplied by ``b_k`` at each
         use site, mirroring ``ScaledDistances`` — so case selection and
         argmin tie-breaks (first strict minimum, in ``zero`` order) agree
-        with the dict path bit for bit.
+        with the reference bit for bit.
         """
         factor = self._factor
         rows = self._dist_rows
@@ -610,7 +308,8 @@ class CSRCombinationEvaluator:
 
         ``matrix[i][j]`` (closure ids, row/column 0 reserved for ``s'``) is
         the modified distance between destinations ``i-1`` and ``j-1``;
-        ``None`` marks an infeasible pair, exactly like the dict memo.
+        ``None`` marks an infeasible pair (the reference returns ``None``
+        for the whole combination there).
         """
         cached = self._closures.get(zero, _MISSING)
         if cached is not _MISSING:
@@ -644,7 +343,8 @@ class CSRCombinationEvaluator:
 
         Returns ``(row, totals)``: the per-destination ``_mod`` entries and
         the precomputed ``virtual_weight + distance`` totals (same operands
-        in the same order as the dict evaluator's ``weight + dist``, just
+        in the same order as ``evaluate_combination``'s
+        ``virtual_weight[v] + dist``, just
         summed once per (zero, server) instead of per combination).
         """
         key = (zero, server)
@@ -711,11 +411,12 @@ class CSRCombinationEvaluator:
     def _winners(
         self, zero: Tuple[int, ...], members: Tuple[int, ...]
     ) -> Tuple[Optional[List[Tuple]], float, Optional[Tuple[int, ...]]]:
-        """Cheapest ``s'`` closure edge per destination — dict replica.
+        """Cheapest ``s'`` closure edge per destination.
 
         Same strict-improvement scan in the same member order, on the same
-        floats, so the winner vector (and the admissible bound, the max
-        winner total) matches the dict evaluator exactly.  Also returns the
+        floats, as ``evaluate_combination``'s, so the winner vector matches
+        the reference exactly; the admissible bound is the max winner
+        total.  Also returns the
         winning-server vector, a cheap-to-hash stand-in for the winner
         vector in the solution memo: for a fixed zero set every winner
         field is a function of (server, destination), so keying on the
@@ -827,8 +528,9 @@ class CSRCombinationEvaluator:
         operation for operation — ``<=`` stop on sift-up, strict ``<``
         child selection and ``>=`` stop on sift-down, last-entry-to-root
         on pop, strict-decrease on ``push_or_decrease`` — so equal-weight
-        closure edges attach exactly as the dict evaluator attaches them.
-        Returns the tree adjacency with dict-replica insertion order.
+        closure edges attach exactly as ``prim_mst`` attaches them in the
+        reference.  Returns the tree adjacency with replica insertion
+        order.
         """
         orders = self._closure_orders
         size_nodes = self._ndest + 1
@@ -930,10 +632,14 @@ class CSRCombinationEvaluator:
         return adj
 
     # ------------------------------------------------------------------
-    # public interface (mirrors CombinationEvaluator)
+    # public interface
     # ------------------------------------------------------------------
     def lower_bound(self, combination: Sequence[Node]) -> float:
-        """Admissible cost lower bound for ``combination`` (dict-identical)."""
+        """Admissible cost lower bound for ``combination``.
+
+        Returns :data:`~repro.graph.shortest_paths.INFINITY` when the
+        combination is infeasible (evaluation would return ``None``).
+        """
         _, members, zero = self._ids(combination)
         if not members:
             return INFINITY
@@ -946,11 +652,12 @@ class CSRCombinationEvaluator:
     ):
         """Flat replay of ``evaluate_combination`` (bit-identical decode).
 
-        Same contract as :meth:`CombinationEvaluator.evaluate`: ``None``
-        for infeasible combinations, :data:`PRUNED` when ``bound`` proves
-        the combination can't beat the incumbent, otherwise a
-        :class:`CSRSubsetSolution` whose decoded tree equals the dict
-        evaluator's tree field for field.
+        ``None`` for infeasible combinations, :data:`PRUNED` when
+        ``bound`` (the incumbent best cost) is given and the admissible
+        lower bound already reaches it — such a combination can never
+        replace the incumbent under the search's strict-improvement rule —
+        otherwise a :class:`CSRSubsetSolution` whose decoded tree equals
+        the reference's tree field for field.
         """
         member_nodes, members, zero = self._ids(combination)
         if not members:
@@ -968,8 +675,8 @@ class CSRCombinationEvaluator:
         if winners is None:
             return None
 
-        # Keyed on the winning-server vector — same partition as the dict
-        # evaluator's winner-tuple key (see _winners), far cheaper to hash.
+        # Keyed on the winning-server vector — same partition as a
+        # winner-tuple key (see _winners), far cheaper to hash.
         memo_key = (zero, winner_servers)
         cached = self._solutions.get(memo_key, _MISSING)
         if cached is not _MISSING:
@@ -1067,7 +774,7 @@ class CSRCombinationEvaluator:
                     forest[v][u] = w
 
             # --- prune_leaves replica (in place: ``forest`` is fresh, so
-            # the dict path's defensive copy has nothing to protect) ------
+            # prune_leaves' defensive copy has nothing to protect) --------
             with _obs_span("prune"):
                 protected = self._protected
                 pruned = forest
@@ -1129,20 +836,7 @@ def _edge_weight_key(edge: Tuple[int, int, float]) -> float:
     return edge[2]
 
 
-#: Either evaluator — they share the public surface and the results.
-AnyEvaluator = Union[CombinationEvaluator, CSRCombinationEvaluator]
-#: Either solution type — same field surface, interchangeable downstream.
+#: Either solution type — the reference ``SubsetSolution`` or the flat
+#: core's ``CSRSubsetSolution``; same field surface, interchangeable
+#: downstream.
 AnySolution = Union[SubsetSolution, CSRSubsetSolution]
-
-
-def make_evaluator(ctx: AuxiliaryContext) -> AnyEvaluator:
-    """Return the fastest evaluator able to serve ``ctx``.
-
-    Contexts built under the "csr" backend carry a flat workspace and get
-    the CSR-native core; dict-backend (and uncached reference) contexts
-    get the dict evaluator.  Results are bit-identical either way — the
-    backend selects a speed, never an answer.
-    """
-    if ctx.flat is not None:
-        return CSRCombinationEvaluator(ctx)
-    return CombinationEvaluator(ctx)

@@ -26,7 +26,7 @@ from repro.core.auxiliary import (
     iter_combinations,
 )
 from repro.core.cost_model import CostModel, ExponentialCostModel
-from repro.core.fasteval import PRUNED, make_evaluator
+from repro.core.fasteval import PRUNED, CSRCombinationEvaluator
 from repro.core.online_base import OnlineAlgorithm, OnlineDecision, RejectReason
 from repro.core.pseudo_tree import PseudoMulticastTree
 from repro.exceptions import InfeasibleRequestError
@@ -127,9 +127,7 @@ class OnlineCPK(OnlineAlgorithm):
         except InfeasibleRequestError:
             return self._reject(request, RejectReason.DISCONNECTED)
 
-        # CSR-native flat core under the "csr" backend, dict evaluator
-        # under "dict" — identical decisions either way.
-        evaluator = make_evaluator(ctx)
+        evaluator = CSRCombinationEvaluator(ctx)
         best = None
         with _obs_span("evaluate"):
             for combination in iter_combinations(

@@ -33,6 +33,25 @@ class EdgeNotFoundError(GraphError, KeyError):
         self.v = v
 
 
+class InvalidWeightError(GraphError, ValueError):
+    """An edge weight is negative, NaN, or infinite.
+
+    Dijkstra needs non-negative weights, and the CSR kernel's ``inf``
+    "not yet reached" sentinel needs finite ones, so weights are checked
+    where they enter a graph.  Also a :class:`ValueError`, so callers that
+    catch the built-in type keep working.
+    """
+
+    def __init__(self, u: object, v: object, weight: object) -> None:
+        super().__init__(
+            f"edge ({u!r}, {v!r}) has weight {weight!r}; edge weights must "
+            "be finite non-negative numbers"
+        )
+        self.u = u
+        self.v = v
+        self.weight = weight
+
+
 class DisconnectedGraphError(GraphError):
     """An operation required connectivity that the graph does not provide.
 

@@ -7,7 +7,6 @@ trees with LCA, and connectivity utilities — implemented on a lightweight
 adjacency-list :class:`Graph` with no third-party dependencies.
 """
 
-from repro.graph.backend import graph_backend, set_graph_backend
 from repro.graph.constrained import (
     DelayBoundInfeasibleError,
     exact_constrained_path,
@@ -97,8 +96,6 @@ __all__ = [
     "ScaledTree",
     "ShortestPathCache",
     "VersionedCacheRegistry",
-    "graph_backend",
-    "set_graph_backend",
     "compile_csr",
     "dijkstra_csr",
     "dijkstra_many",

@@ -8,8 +8,7 @@ indices:
 
 - :func:`compile_csr` interns nodes (stable ``node -> int`` in insertion
   order) and lays the adjacency out in CSR form — ``indptr``/``indices`` as
-  ``array('q')`` and ``weights`` as ``array('d')``, with zero-copy numpy
-  views (:meth:`CSRGraph.as_numpy`) when numpy is importable;
+  ``array('q')`` and ``weights`` as ``array('d')``;
 - :func:`dijkstra_csr` runs single-source Dijkstra over the compiled view
   with flat distance/parent arrays and an inlined flat binary heap,
   supporting the same ``targets=`` early exit as the dict engine;
@@ -34,10 +33,8 @@ pop but reorders equal-priority pops, so a binary layout is load-bearing
 here; the differential harness and the hypothesis suite in
 ``tests/graph/test_csr.py`` hold the replica to the original.
 
-The kernel is deliberately pure Python (the repo runs dependency-free);
-numpy, when present, is exposed as zero-copy views for vectorized
-*consumers* of the arrays, not used inside the search loop, where list
-indexing is faster than numpy scalar access.
+The kernel is deliberately pure Python (the repo runs dependency-free):
+inside the search loop, list indexing is faster than numpy scalar access.
 
 **Finite-weight precondition.**  The engine uses ``dist[i] == inf`` as the
 "not yet improved" sentinel, which folds the settled-node check into the
@@ -45,9 +42,11 @@ relaxation comparison: a settled node's distance is already minimal, so
 ``candidate < dist[neighbor]`` is false exactly when the dict engine's
 ``neighbor in distance`` guard would skip.  That equivalence needs every
 edge weight to be finite (an infinite weight would make an unseen node
-indistinguishable from the sentinel), so :func:`compile_csr` rejects
-non-finite and negative weights at compile time — the same domain the
-paper's cost model uses and Dijkstra requires anyway.
+indistinguishable from the sentinel).  :class:`~repro.graph.graph.Graph`
+rejects non-finite and negative weights where they enter, and
+:func:`compile_csr` checks again for the duck-typed views it also accepts
+(a :class:`~repro.graph.spcache.ScaledGraphView` product can overflow) —
+the same domain the paper's cost model uses and Dijkstra requires anyway.
 """
 
 from __future__ import annotations
@@ -55,15 +54,10 @@ from __future__ import annotations
 from array import array
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.exceptions import NodeNotFoundError
+from repro.exceptions import InvalidWeightError, NodeNotFoundError
 from repro.graph.graph import Node
 from repro.graph.shortest_paths import ShortestPathTree
 from repro.obs import inc as _obs_inc, span as _obs_span
-
-try:  # optional fast path for bulk consumers of the compiled arrays
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a test dependency
-    _np = None  # type: ignore[assignment]
 
 _INF = float("inf")
 
@@ -114,20 +108,6 @@ class CSRGraph:
         """The number of undirected edges."""
         return len(self.indices) // 2
 
-    def as_numpy(self) -> Tuple["_np.ndarray", "_np.ndarray", "_np.ndarray"]:
-        """Return zero-copy numpy views ``(indptr, indices, weights)``.
-
-        Raises:
-            RuntimeError: if numpy is not installed.
-        """
-        if _np is None:  # pragma: no cover - numpy is a test dependency
-            raise RuntimeError("numpy is not available")
-        return (
-            _np.frombuffer(self.indptr, dtype=_np.int64),
-            _np.frombuffer(self.indices, dtype=_np.int64),
-            _np.frombuffer(self.weights, dtype=_np.float64),
-        )
-
     def engine(self) -> "_CSRDijkstra":
         """Return the (lazily created) shared search engine for this view.
 
@@ -167,6 +147,9 @@ def compile_csr(graph, epoch: Optional[int] = None) -> CSRGraph:
     Args:
         graph: the topology to compile.
         epoch: optional version tag stored on the view (informational).
+
+    Raises:
+        InvalidWeightError: if a weight is negative, NaN, or infinite.
     """
     with _obs_span("csr.compile"):
         _obs_inc("csr.compiles")
@@ -178,11 +161,7 @@ def compile_csr(graph, epoch: Optional[int] = None) -> CSRGraph:
         for node in nodes:
             for neighbor, weight in graph.neighbor_items(node):
                 if not 0.0 <= weight < _INF:  # also rejects NaN
-                    raise ValueError(
-                        f"edge ({node!r}, {neighbor!r}) has weight "
-                        f"{weight!r}; the CSR kernel requires finite "
-                        "non-negative weights (see module docstring)"
-                    )
+                    raise InvalidWeightError(node, neighbor, weight)
                 indices.append(index[neighbor])
                 weights.append(weight)
             indptr.append(len(indices))

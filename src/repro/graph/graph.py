@@ -16,10 +16,16 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, Iterator, List, Tuple
 
-from repro.exceptions import EdgeNotFoundError, NodeNotFoundError
+from repro.exceptions import (
+    EdgeNotFoundError,
+    InvalidWeightError,
+    NodeNotFoundError,
+)
 
 Node = Hashable
 Edge = Tuple[Node, Node]
+
+_INF = float("inf")
 
 
 def edge_key(u: Node, v: Node) -> Edge:
@@ -81,6 +87,7 @@ class Graph:
 
         Raises:
             ValueError: if the mapping has a self-loop or is asymmetric.
+            InvalidWeightError: if a weight is negative, NaN, or infinite.
         """
         graph = cls()
         adj = graph._adj
@@ -92,6 +99,8 @@ class Graph:
                     raise ValueError(
                         f"self-loop on node {u!r} is not allowed"
                     )
+                if not 0.0 <= w < _INF:  # also rejects NaN
+                    raise InvalidWeightError(u, v, w)
                 mirror = adj.get(v)
                 if mirror is None or mirror.get(u) != w:
                     raise ValueError(
@@ -108,11 +117,14 @@ class Graph:
 
         Endpoints are created if absent.  Self-loops are rejected because no
         algorithm in this library is defined on them.
+
+        Raises:
+            InvalidWeightError: if ``weight`` is negative, NaN, or infinite.
         """
         if u == v:
             raise ValueError(f"self-loop on node {u!r} is not allowed")
-        if weight < 0:
-            raise ValueError(f"negative edge weight {weight!r} is not allowed")
+        if not 0.0 <= weight < _INF:  # also rejects NaN
+            raise InvalidWeightError(u, v, weight)
         self._adj.setdefault(u, {})[v] = float(weight)
         self._adj.setdefault(v, {})[u] = float(weight)
 
@@ -150,11 +162,15 @@ class Graph:
             raise EdgeNotFoundError(u, v) from None
 
     def set_weight(self, u: Node, v: Node, weight: float) -> None:
-        """Update the weight of an existing edge ``(u, v)``."""
+        """Update the weight of an existing edge ``(u, v)``.
+
+        Raises:
+            InvalidWeightError: if ``weight`` is negative, NaN, or infinite.
+        """
         if not self.has_edge(u, v):
             raise EdgeNotFoundError(u, v)
-        if weight < 0:
-            raise ValueError(f"negative edge weight {weight!r} is not allowed")
+        if not 0.0 <= weight < _INF:  # also rejects NaN
+            raise InvalidWeightError(u, v, weight)
         self._adj[u][v] = float(weight)
         self._adj[v][u] = float(weight)
 

@@ -24,13 +24,12 @@ number (the :class:`~repro.network.sdn.SDNetwork` *epoch* counter, bumped on
 every residual mutation), so ``Appro_Multi_Cap`` and the online algorithms
 read cached trees only while the underlying graph is provably unchanged.
 
-Cache misses run the shortest-path engine selected by
-:func:`~repro.graph.backend.graph_backend` (default the flat CSR kernel of
-:mod:`repro.graph.csr`, bit-identical to the dict engine).  Under the CSR
-backend each cache compiles its bound graph once — and since caches are
-epoch-keyed, that is once per epoch — then serves every miss from the
-compiled view; :meth:`ShortestPathCache.warm` batch-fills a set of origins
-through :func:`~repro.graph.csr.dijkstra_many` over the same view.
+Cache misses run the flat CSR kernel of :mod:`repro.graph.csr`, which is
+bit-identical to the dict engine.  Each cache compiles its bound graph
+once — and since caches are epoch-keyed, that is once per epoch — then
+serves every miss from the compiled view; :meth:`ShortestPathCache.warm`
+batch-fills a set of origins through :func:`~repro.graph.csr.dijkstra_many`
+over the same view.
 
 Invariants (see docs/API.md for the full contract):
 
@@ -57,10 +56,9 @@ from typing import (
     Union,
 )
 
-from repro.graph.backend import graph_backend
 from repro.graph.csr import CSRGraph, compile_csr, dijkstra_csr, dijkstra_many
 from repro.graph.graph import Graph, Node
-from repro.graph.shortest_paths import ShortestPathTree, dijkstra
+from repro.graph.shortest_paths import ShortestPathTree
 from repro.obs import inc as _obs_inc, span as _obs_span
 
 _FLAT_INF = float("inf")
@@ -259,9 +257,9 @@ class ShortestPathCache:
         self._graph = graph
         self._trees: Dict[Node, ShortestPathTree] = {}
         # Compiled CSR view of the (immutable-for-our-lifetime) graph,
-        # built lazily on the first miss under the "csr" backend.  Because
-        # the cache is epoch-keyed via VersionedCacheRegistry, this is
-        # exactly "compile once per epoch".
+        # built lazily on the first miss.  Because the cache is epoch-keyed
+        # via VersionedCacheRegistry, this is exactly "compile once per
+        # epoch".
         self._csr: Optional[CSRGraph] = None
         # Stamped onto the compiled view so consumers can audit which
         # network version a flat workspace was derived at.
@@ -331,9 +329,8 @@ class ShortestPathCache:
     def tree(self, origin: Node) -> ShortestPathTree:
         """Return the Dijkstra tree rooted at ``origin`` (cached).
 
-        A miss runs the engine selected by
-        :func:`~repro.graph.backend.graph_backend`; both engines are
-        bit-identical, so the backend never changes what this returns.
+        A miss runs :func:`~repro.graph.csr.dijkstra_csr` over the cache's
+        compiled view.
         """
         cached = self._trees.get(origin)
         if cached is not None:
@@ -343,35 +340,27 @@ class ShortestPathCache:
         self.misses += 1
         _obs_inc("spcache.misses")
         with _obs_span("dijkstra"):
-            if graph_backend() == "csr":
-                tree = dijkstra_csr(self._compiled(), origin)
-            else:
-                tree = dijkstra(self._graph, origin)
+            tree = dijkstra_csr(self._compiled(), origin)
         self._trees[origin] = tree
         return tree
 
     def warm(self, origins: Iterable[Node]) -> None:
         """Pre-fill the cache with full trees for every origin in one sweep.
 
-        Under the "csr" backend the misses run as one
-        :func:`~repro.graph.csr.dijkstra_many` batch over the shared
-        compiled view; under "dict" this is just a :meth:`tree` loop.
-        Either way the cached trees are the ones :meth:`tree` would have
-        computed lazily — warming only moves the work, it never changes a
-        result.  Already-cached origins are skipped without touching the
-        hit/miss counters (warming is not a lookup).
+        The misses run as one :func:`~repro.graph.csr.dijkstra_many` batch
+        over the shared compiled view.  The cached trees are the ones
+        :meth:`tree` would have computed lazily — warming only moves the
+        work, it never changes a result.  Already-cached origins are
+        skipped without touching the hit/miss counters (warming is not a
+        lookup).
         """
         missing = [o for o in dict.fromkeys(origins) if o not in self._trees]
         if not missing:
             return
-        if graph_backend() == "csr":
-            with _obs_span("dijkstra"):
-                self._trees.update(dijkstra_many(self._compiled(), missing))
-            self.misses += len(missing)
-            _obs_inc("spcache.misses", len(missing))
-        else:
-            for origin in missing:
-                self.tree(origin)
+        with _obs_span("dijkstra"):
+            self._trees.update(dijkstra_many(self._compiled(), missing))
+        self.misses += len(missing)
+        _obs_inc("spcache.misses", len(missing))
 
     def scaled_tree(
         self, origin: Node, factor: float

@@ -18,16 +18,13 @@ The algorithm (Kou, Markowsky & Berman, *Acta Informatica* 1981) achieves a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
-
-from typing import Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.exceptions import DisconnectedGraphError, NodeNotFoundError
-from repro.graph.backend import graph_backend
 from repro.graph.csr import CSRGraph, compile_csr, dijkstra_many
 from repro.graph.graph import Graph, Node
 from repro.graph.mst import kruskal_mst, prim_mst
-from repro.graph.shortest_paths import ShortestPathTree, dijkstra
+from repro.graph.shortest_paths import ShortestPathTree
 from repro.graph.tree import prune_leaves
 from repro.obs import inc as _obs_inc, span as _obs_span
 
@@ -65,7 +62,6 @@ def metric_closure(
             hold one (e.g. via ``ShortestPathCache.compiled()``) pass it so
             the closure sweep reuses the compilation instead of paying a
             fresh ``compile_csr`` — the one-compilation-per-request rule.
-            Ignored under the dict backend.
 
     Raises:
         NodeNotFoundError: if a terminal is not in the graph.
@@ -76,28 +72,17 @@ def metric_closure(
         if not graph.has_node(terminal):
             raise NodeNotFoundError(terminal)
 
-    terminal_set = set(terminal_list)
-    trees: Dict[Node, ShortestPathTree]
-    if graph_backend() == "csr":
-        # Batched sweep over one compiled view: each source discards itself
-        # the moment it pops, so passing the full terminal set is exactly
-        # the per-source ``terminal_set - {terminal}`` early exit.  Uncached
-        # one-shot entry point (callers with a cache pass ``compiled=``),
-        # same justification as the dict branch below.
-        csr = compiled if compiled is not None else compile_csr(graph)
-        trees = dijkstra_many(  # repro-lint: disable=RL001
-            csr, terminal_list, targets=terminal_set
-        )
-    else:
-        trees = {}
-        for terminal in terminal_list:
-            # Uncached KMB entry point for arbitrary one-shot graphs (the
-            # hot path uses kmb_steiner_tree_cached + ShortestPathCache
-            # instead); the targets= early exit computes partial trees a
-            # shared cache must never memoize.  # repro-lint: disable=RL001
-            trees[terminal] = dijkstra(
-                graph, terminal, targets=terminal_set - {terminal}
-            )
+    # Batched sweep over one compiled view: each source discards itself the
+    # moment it pops, so passing the full terminal set stops each search
+    # once the *other* terminals are settled.  This is the uncached KMB
+    # entry point for arbitrary one-shot graphs (the hot path uses
+    # kmb_steiner_tree_cached + ShortestPathCache, and callers holding a
+    # cache pass ``compiled=``); the targets= early exit computes partial
+    # trees a shared cache must never memoize.
+    csr = compiled if compiled is not None else compile_csr(graph)
+    trees = dijkstra_many(  # repro-lint: disable=RL001
+        csr, terminal_list, targets=set(terminal_list)
+    )
     closure = Graph()
     for terminal in terminal_list:
         closure.add_node(terminal)

@@ -207,8 +207,8 @@ class SDNetwork:
         and bandwidths — distances for a request are obtained by scaling
         lazily with ``b_k`` (see :mod:`repro.graph.spcache`).
 
-        Under the default ``csr`` backend the cache compiles the topology
-        into a :class:`~repro.graph.csr.CSRGraph` on the first miss and
+        The cache compiles the topology into a
+        :class:`~repro.graph.csr.CSRGraph` on the first miss and
         reuses that compiled view for every subsequent fill — one compile
         for the lifetime of the network, since this graph never changes.
         """
@@ -240,9 +240,9 @@ class SDNetwork:
         (rejections) share the same trees and a mutation can never leak a
         stale hop-count path.
 
-        Backend note: each cache instance compiles its bound residual
-        subgraph to CSR at most once (on the first fill under the ``csr``
-        backend), and the epoch keying above retires that compiled view
+        Each cache instance compiles its bound residual subgraph to CSR at
+        most once (on the first fill), and the epoch keying above retires
+        that compiled view
         together with the cache the moment resources mutate — the compile
         is per (epoch, bandwidth), exactly like the subgraph itself.
         """

@@ -24,6 +24,12 @@ Targets, selected with ``--target``:
     so both engines sample the same machine noise; the minimum round per
     engine is reported.  Writes ``BENCH_csr.json``.
 
+``appro``
+    End-to-end ``Appro_Multi``: the seed engine
+    (:func:`repro.core.appro_multi_reference`, dict auxiliary graphs and
+    dict Dijkstra) vs the CSR-native core, with a tree-identity check.
+    Merges an ``"appro"`` section into ``BENCH_csr.json``.
+
 ``stream-obs``
     The streaming-telemetry contract: an ``Online_CP`` arrival stream on
     GÉANT timed with telemetry disabled vs enabled-with-histograms plus a
@@ -577,9 +583,10 @@ def _trees_match(tree, reference) -> bool:
     distribution edges in ``edges()`` order — while costs compare at
     relative 1e-12, matching ``tests/core/test_differential.py``: the seed
     reference engine accumulates edge weights in a different order than
-    the memoized evaluators, so costs can differ in the last ulp.  (The
-    CSR-native core is bit-exact against the *dict-backend* engine, dict
-    insertion order included; the widened differential holds that.)
+    the memoized evaluator, so costs can differ in the last ulp.  (On one
+    shared context the CSR-native evaluator is bit-exact against the
+    reference ``evaluate_combination``, dict insertion order included; the
+    differential harness holds that.)
     """
     if (
         tree.servers != reference.servers
@@ -605,16 +612,16 @@ def run_appro_benchmark(
     seed: int = DEFAULT_SEED,
     quick: bool = False,
 ) -> Dict:
-    """End-to-end ``Appro_Multi``: dict path vs the CSR-native core.
+    """End-to-end ``Appro_Multi``: the seed engine vs the CSR-native core.
 
-    The dict path is :func:`repro.core.appro_multi_reference` under the
-    ``dict`` backend — dict ``Graph`` auxiliary construction, metric
-    closure, KMB, and MST on every server combination, exactly the seed
-    engine.  The CSR-native side is :func:`repro.core.appro_multi` under
-    the ``csr`` backend: one epoch-stamped compilation per request context,
-    the flat combination sweep, and dict decode only for the winner.
+    The seed engine is :func:`repro.core.appro_multi_reference` — dict
+    ``Graph`` auxiliary construction, fresh dict Dijkstra per origin, and
+    metric closure, KMB, and MST on every server combination.  The
+    CSR-native side is :func:`repro.core.appro_multi`: one epoch-stamped
+    compilation per request context, the flat combination sweep, and dict
+    decode only for the winner.
 
-    Rounds are interleaved (dict batch, then CSR batch, per round) so both
+    Rounds are interleaved (seed batch, then CSR batch, per round) so both
     engines sample the same machine noise; each round rebuilds the network
     so both sides run cold caches.  Tree identity is checked outside the
     timed region, field for field including dict insertion order.
@@ -622,51 +629,41 @@ def run_appro_benchmark(
     The result is merged into ``BENCH_csr.json`` under the ``"appro"`` key
     (the sweep cases under ``"cases"`` are preserved).
     """
-    from repro.graph.backend import graph_backend, set_graph_backend
-
     from repro.core import appro_multi, appro_multi_reference
 
     if quick:
         requests = min(requests, 12)
         rounds = min(rounds, 3)
 
-    previous = graph_backend()
     dict_best = csr_best = float("inf")
-    try:
-        for _ in range(rounds):
-            set_graph_backend("dict")
-            network, batch = _batch(requests, seed)
-            start = time.perf_counter()
-            for request in batch:
-                appro_multi_reference(network, request, max_servers=3)
-            dict_best = min(dict_best, time.perf_counter() - start)
-
-            set_graph_backend("csr")
-            network, batch = _batch(requests, seed)
-            start = time.perf_counter()
-            for request in batch:
-                appro_multi(network, request, max_servers=3)
-            csr_best = min(csr_best, time.perf_counter() - start)
-
-        # Identity outside the timed region: a fast wrong tree is no
-        # speedup.  Compare the CSR-native decode against the dict path.
-        set_graph_backend("dict")
+    for _ in range(rounds):
         network, batch = _batch(requests, seed)
-        dict_trees = [
+        start = time.perf_counter()
+        for request in batch:
             appro_multi_reference(network, request, max_servers=3)
-            for request in batch
-        ]
-        set_graph_backend("csr")
+        dict_best = min(dict_best, time.perf_counter() - start)
+
         network, batch = _batch(requests, seed)
-        mismatches = sum(
-            1
-            for request, reference in zip(batch, dict_trees)
-            if not _trees_match(
-                appro_multi(network, request, max_servers=3), reference
-            )
+        start = time.perf_counter()
+        for request in batch:
+            appro_multi(network, request, max_servers=3)
+        csr_best = min(csr_best, time.perf_counter() - start)
+
+    # Identity outside the timed region: a fast wrong tree is no speedup.
+    # Compare the CSR-native decode against the seed engine.
+    network, batch = _batch(requests, seed)
+    dict_trees = [
+        appro_multi_reference(network, request, max_servers=3)
+        for request in batch
+    ]
+    network, batch = _batch(requests, seed)
+    mismatches = sum(
+        1
+        for request, reference in zip(batch, dict_trees)
+        if not _trees_match(
+            appro_multi(network, request, max_servers=3), reference
         )
-    finally:
-        set_graph_backend(previous)
+    )
 
     appro = {
         "topology": TOPOLOGY,

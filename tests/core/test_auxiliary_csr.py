@@ -35,7 +35,7 @@ from repro.core import (
     iter_combinations,
 )
 from repro.exceptions import InfeasibleRequestError
-from repro.graph import Graph, edge_key, graph_backend, set_graph_backend
+from repro.graph import Graph, edge_key
 from repro.network import build_sdn
 from repro.nfv import ServiceChain, all_function_types
 from repro.workload import MulticastRequest
@@ -137,97 +137,86 @@ def test_compiled_auxiliary_graph_matches_explicit_construction(
     instance, data
 ):
     network, request = instance
-    saved = graph_backend()
-    set_graph_backend("csr")
     try:
-        try:
-            ctx = build_csr_context(network, request)
-        except InfeasibleRequestError:
-            return
-        assert ctx.flat is not None, (
-            "cache-backed context under the csr backend must carry the "
-            "flat workspace"
-        )
-        evaluator = CSRCombinationEvaluator(ctx)
-        servers = list(ctx.candidate_servers)
-        size = data.draw(st.integers(1, len(servers)))
-        combination = tuple(
-            data.draw(
-                st.lists(
-                    st.sampled_from(servers), min_size=size, max_size=size,
-                    unique=True,
-                )
+        ctx = build_csr_context(network, request)
+    except InfeasibleRequestError:
+        return
+    assert ctx.flat is not None, (
+        "a cache-backed context must carry the flat workspace"
+    )
+    evaluator = CSRCombinationEvaluator(ctx)
+    servers = list(ctx.candidate_servers)
+    size = data.draw(st.integers(1, len(servers)))
+    combination = tuple(
+        data.draw(
+            st.lists(
+                st.sampled_from(servers), min_size=size, max_size=size,
+                unique=True,
             )
         )
+    )
 
-        member_nodes, members, zero = evaluator._ids(combination)
-        assert member_nodes == combination  # all candidates are reachable
-        aux = ctx.flat.aux
-        aux.set_combination(members, zero)
+    member_nodes, members, zero = evaluator._ids(combination)
+    assert member_nodes == combination  # all candidates are reachable
+    aux = ctx.flat.aux
+    aux.set_combination(members, zero)
 
-        compiled = aux.to_graph()
-        explicit = explicit_auxiliary_graph(ctx, combination)
-        assert set(compiled.nodes()) == set(explicit.nodes())
-        assert canonical_edges(compiled) == canonical_edges(explicit)
+    compiled = aux.to_graph()
+    explicit = explicit_auxiliary_graph(ctx, combination)
+    assert set(compiled.nodes()) == set(explicit.nodes())
+    assert canonical_edges(compiled) == canonical_edges(explicit)
 
-        # the virtual row is the combination's entire mutable surface:
-        # same servers, and the very same scaled-weight float objects the
-        # dict context holds
-        index = ctx.flat.index
-        nodes = ctx.flat.nodes
-        assert aux.virtual_index == ctx.flat.csr.num_nodes
-        assert [nodes[v] for v, _ in aux.virtual_row()] == list(combination)
-        for v, weight in aux.virtual_row():
-            assert weight == explicit.weight(VIRTUAL_SOURCE, nodes[v])
-        for node in combination:
-            assert (
-                aux.virtual_weight[index[node]]
-                is ctx.virtual_weight[node]
-            )
-    finally:
-        set_graph_backend(saved)
+    # the virtual row is the combination's entire mutable surface:
+    # same servers, and the very same scaled-weight float objects the
+    # dict context holds
+    index = ctx.flat.index
+    nodes = ctx.flat.nodes
+    assert aux.virtual_index == ctx.flat.csr.num_nodes
+    assert [nodes[v] for v, _ in aux.virtual_row()] == list(combination)
+    for v, weight in aux.virtual_row():
+        assert weight == explicit.weight(VIRTUAL_SOURCE, nodes[v])
+    for node in combination:
+        assert (
+            aux.virtual_weight[index[node]]
+            is ctx.virtual_weight[node]
+        )
 
 
 @settings(max_examples=25, deadline=None)
 @given(tie_heavy_instances(), st.data())
 def test_workspace_reuse_never_leaks_between_combinations(instance, data):
     network, request = instance
-    saved = graph_backend()
-    set_graph_backend("csr")
     try:
-        try:
-            ctx = build_csr_context(network, request)
-        except InfeasibleRequestError:
-            return
-        limit = min(2, len(ctx.candidate_servers))
-        combos = list(iter_combinations(ctx.candidate_servers, limit))
-        if len(combos) < 2:
-            return
-        a = data.draw(st.sampled_from(combos))
-        b = data.draw(st.sampled_from([c for c in combos if c != a]))
+        ctx = build_csr_context(network, request)
+    except InfeasibleRequestError:
+        return
+    limit = min(2, len(ctx.candidate_servers))
+    combos = list(iter_combinations(ctx.candidate_servers, limit))
+    if len(combos) < 2:
+        return
+    a = data.draw(st.sampled_from(combos))
+    b = data.draw(st.sampled_from([c for c in combos if c != a]))
 
-        # clean room: an evaluator whose history is exactly [A]
-        clean = tree_fingerprint(
-            CSRCombinationEvaluator(build_csr_context(network, request))
-            .evaluate(a)
-        )
+    # clean room: an evaluator whose history is exactly [A]
+    clean = tree_fingerprint(
+        CSRCombinationEvaluator(build_csr_context(network, request))
+        .evaluate(a)
+    )
 
-        evaluator = CSRCombinationEvaluator(ctx)
-        first = tree_fingerprint(evaluator.evaluate(a))
-        evaluator.evaluate(b)
-        again = tree_fingerprint(evaluator.evaluate(a))
+    evaluator = CSRCombinationEvaluator(ctx)
+    first = tree_fingerprint(evaluator.evaluate(a))
+    evaluator.evaluate(b)
+    again = tree_fingerprint(evaluator.evaluate(a))
 
-        assert first == clean
-        assert again == clean
+    assert first == clean
+    assert again == clean
 
-        # the shared AuxiliaryCSR view itself round-trips A -> B -> A
-        ids_a = evaluator._ids(a)
-        ids_b = evaluator._ids(b)
-        aux = ctx.flat.aux
-        aux.set_combination(ids_a[1], ids_a[2])
-        snapshot = canonical_edges(aux.to_graph())
-        aux.set_combination(ids_b[1], ids_b[2])
-        aux.set_combination(ids_a[1], ids_a[2])
-        assert canonical_edges(aux.to_graph()) == snapshot
-    finally:
-        set_graph_backend(saved)
+    # the shared AuxiliaryCSR view itself round-trips A -> B -> A
+    ids_a = evaluator._ids(a)
+    ids_b = evaluator._ids(b)
+    aux = ctx.flat.aux
+    aux.set_combination(ids_a[1], ids_a[2])
+    snapshot = canonical_edges(aux.to_graph())
+    aux.set_combination(ids_b[1], ids_b[2])
+    aux.set_combination(ids_a[1], ids_a[2])
+    assert canonical_edges(aux.to_graph()) == snapshot

@@ -8,19 +8,21 @@ rewrite to the seed behaviour over a bank of seeded random instances:
    the cost of ``appro_multi_reference`` (the seed engine: explicit scaled
    topology copy, fresh Dijkstra per origin, every combination evaluated
    from scratch), and both reject exactly the same infeasible instances.
-2. **Construction identity** — per combination, the cached evaluator's cost
-   equals KMB run on the *explicitly built* auxiliary graph, the slow
-   construction the paper defines.
+2. **Construction identity** — per combination, on one cached context,
+   the CSR-native evaluator's solution equals the reference
+   ``evaluate_combination``'s **bitwise** (tree with the same dict
+   insertion order, the same float cost), and its cost equals KMB run on
+   the *explicitly built* auxiliary graph, the slow construction the paper
+   defines.
 3. **Approximation bound** — on instances small enough for the exact
    Dreyfus–Wagner oracle, the returned cost is within the paper's ``2K``
    factor of the auxiliary-graph optimum (Theorem 1).
-4. **Backend identity** — the ``dict`` and ``csr`` values of
-   ``REPRO_GRAPH_BACKEND`` run the same cached engine over different
-   machinery (dict evaluator vs the CSR-native flat core); capacitated
-   ``appro_multi_cap`` request sequences and online admission series
-   (``Online_CP`` and ``Online_CP_K``) must agree **bitwise** — trees with
-   the same dict insertion order, the same float costs, the same
-   admit/reject verdicts in the same order.
+4. **Sequence identity** — over request sequences that commit their
+   allocations: ``appro_multi_cap`` matches the seed search
+   (``_search_reference``) on the same pruned residual graph, and the
+   ``Online_CP`` / ``Online_CP_K`` admission series match runs whose every
+   shortest-path tree comes from the dict ``dijkstra`` oracle instead of
+   the CSR kernel.
 
 Every instance derives from an explicit seed, so a failure names the exact
 graph that broke and is replayable in isolation.
@@ -30,7 +32,7 @@ import pytest
 
 from repro.core import (
     VIRTUAL_SOURCE,
-    CombinationEvaluator,
+    CSRCombinationEvaluator,
     OnlineCP,
     OnlineCPK,
     appro_multi,
@@ -38,18 +40,15 @@ from repro.core import (
     appro_multi_detailed,
     appro_multi_reference,
     build_context,
+    evaluate_combination,
     explicit_auxiliary_graph,
     iter_combinations,
     optimal_auxiliary_cost,
     try_allocate,
 )
+from repro.core.appro_multi import _search_reference
 from repro.exceptions import InfeasibleRequestError
-from repro.graph import (
-    graph_backend,
-    kmb_steiner_tree,
-    set_graph_backend,
-    steiner_tree_cost,
-)
+from repro.graph import dijkstra, kmb_steiner_tree, spcache, steiner_tree_cost
 from repro.network import build_sdn
 from repro.topology import waxman_graph
 from repro.workload import generate_workload
@@ -67,6 +66,23 @@ def make_instance(seed, nodes=16):
         graph, count=1, dmax_ratio=0.25, seed=seed + 10_000
     )[0]
     return network, request
+
+
+def cached_context(network, request):
+    """The cache-backed context ``appro_multi`` builds for ``request``."""
+    chain_cost = {
+        v: network.chain_cost(v, request.compute_demand)
+        for v in network.server_nodes
+    }
+    return build_context(
+        graph=network.graph,
+        source=request.source,
+        destinations=sorted(request.destinations, key=repr),
+        servers=network.server_nodes,
+        chain_cost=chain_cost,
+        bandwidth=request.bandwidth,
+        cache=network.path_cache(),
+    )
 
 
 class TestEngineIdentity:
@@ -118,20 +134,8 @@ class TestEngineIdentity:
         """The stronger prune may shift combinations from 'evaluated' to
         'pruned', but every combination is still accounted exactly once."""
         network, request = make_instance(seed)
-        chain_cost = {
-            v: network.chain_cost(v, request.compute_demand)
-            for v in network.server_nodes
-        }
         try:
-            ctx = build_context(
-                graph=network.graph,
-                source=request.source,
-                destinations=sorted(request.destinations, key=repr),
-                servers=network.server_nodes,
-                chain_cost=chain_cost,
-                bandwidth=request.bandwidth,
-                cache=network.path_cache(),
-            )
+            ctx = cached_context(network, request)
             detailed = appro_multi_detailed(network, request, max_servers=2)
         except InfeasibleRequestError:
             return
@@ -143,29 +147,37 @@ class TestEngineIdentity:
         assert detailed.combinations_evaluated >= 1
 
 
+def solution_bits(solution):
+    """Every observable field of a subset solution, bitwise.
+
+    The tree is captured as its full adjacency in iteration order, so dict
+    insertion order is part of the fingerprint; the cost float is compared
+    exactly.
+    """
+    if solution is None:
+        return None
+    tree = solution.tree
+    return (
+        solution.combination,
+        solution.used_servers,
+        solution.cost,
+        tuple(
+            (node, tuple(tree.neighbor_items(node))) for node in tree.nodes()
+        ),
+    )
+
+
 class TestConstructionIdentity:
-    """Cached evaluator ≡ KMB on the explicitly built auxiliary graph."""
+    """CSR evaluator ≡ reference evaluator ≡ KMB on the explicit graph."""
 
     @pytest.mark.parametrize("seed", range(0, 50, 2))
     def test_per_combination_costs_match_explicit_graph(self, seed):
         network, request = make_instance(seed, nodes=14)
-        chain_cost = {
-            v: network.chain_cost(v, request.compute_demand)
-            for v in network.server_nodes
-        }
         try:
-            ctx = build_context(
-                graph=network.graph,
-                source=request.source,
-                destinations=sorted(request.destinations, key=repr),
-                servers=network.server_nodes,
-                chain_cost=chain_cost,
-                bandwidth=request.bandwidth,
-                cache=network.path_cache(),
-            )
+            ctx = cached_context(network, request)
         except InfeasibleRequestError:
             return
-        evaluator = CombinationEvaluator(ctx)
+        evaluator = CSRCombinationEvaluator(ctx)
         terminals = [VIRTUAL_SOURCE] + list(ctx.destinations)
         for combination in iter_combinations(ctx.candidate_servers, 2):
             fast = evaluator.evaluate(combination)
@@ -180,24 +192,84 @@ class TestConstructionIdentity:
                 steiner_tree_cost(reference), rel=1e-9
             )
 
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_per_combination_solutions_match_reference_evaluator(self, seed):
+        """Same context, every combination up to K=3: identical bits."""
+        network, request = make_instance(seed)
+        try:
+            ctx = cached_context(network, request)
+        except InfeasibleRequestError:
+            return
+        evaluator = CSRCombinationEvaluator(ctx)
+        for combination in iter_combinations(ctx.candidate_servers, 3):
+            assert solution_bits(
+                evaluator.evaluate(combination)
+            ) == solution_bits(evaluate_combination(ctx, combination))
 
-def run_under_backend(backend, fn):
-    """Run ``fn()`` with the graph backend forced to ``backend``."""
-    saved = graph_backend()
-    set_graph_backend(backend)
-    try:
-        return fn()
-    finally:
-        set_graph_backend(saved)
+
+def appro_multi_cap_reference(network, request, max_servers):
+    """``Appro_Multi_Cap`` through the seed engine on the same residual graph.
+
+    Rebuilds the pruned graph ``appro_multi_cap`` reads, constructs the
+    context the reference way (explicit ``c_e · b_k`` copy, one fresh dict
+    Dijkstra per origin) and runs the seed search loop, which evaluates
+    every combination with ``evaluate_combination``.
+    """
+    eligible = network.feasible_servers(request.compute_demand)
+    if not eligible:
+        raise InfeasibleRequestError("no server can host the chain")
+    ctx = build_context(
+        graph=network.residual_graph(request.bandwidth),
+        source=request.source,
+        destinations=sorted(request.destinations, key=repr),
+        servers=eligible,
+        chain_cost={
+            v: network.chain_cost(v, request.compute_demand)
+            for v in eligible
+        },
+        bandwidth=request.bandwidth,
+    )
+    return _search_reference(ctx, request, max_servers).tree
+
+
+def serve_trees_from_dict_dijkstra(patch):
+    """Make every ``ShortestPathCache`` tree come from dict ``dijkstra``.
+
+    The cache calls ``compile_csr``, ``dijkstra_csr`` and ``dijkstra_many``
+    through its module globals.  The substitutes remember which graph each
+    compiled view was built from and run the dict engine on that graph;
+    the compiled view itself stays real, because the flat evaluator reads
+    its node indexing.  Returns a one-element call counter, so a test can
+    check that the oracle really served the run.
+    """
+    compile_csr = spcache.compile_csr
+    # id(view) -> (view, graph); holding the view keeps its id unique.
+    built_from = {}
+    calls = [0]
+
+    def compile_and_remember(graph, epoch=None):
+        csr = compile_csr(graph, epoch=epoch)
+        built_from[id(csr)] = (csr, graph)
+        return csr
+
+    def oracle(csr, origin):
+        calls[0] += 1
+        return dijkstra(built_from[id(csr)][1], origin)
+
+    def oracle_many(csr, origins):
+        return {origin: oracle(csr, origin) for origin in origins}
+
+    patch.setattr(spcache, "compile_csr", compile_and_remember)
+    patch.setattr(spcache, "dijkstra_csr", oracle)
+    patch.setattr(spcache, "dijkstra_many", oracle_many)
+    return calls
 
 
 def tree_bits(tree):
     """Every observable field of a pseudo-tree, bitwise.
 
     ``server_paths`` is captured as an item tuple so dict insertion order
-    is part of the fingerprint; the two cost floats are compared exactly —
-    the CSR-native core promises the same operands in the same order, not
-    merely a close result.
+    is part of the fingerprint; the two cost floats are compared exactly.
     """
     return (
         tree.servers,
@@ -210,39 +282,54 @@ def tree_bits(tree):
 
 
 class TestBackendIdentity:
-    """dict backend ≡ csr backend, bit for bit, over request *sequences*.
+    """Production engine ≡ the oracles, over request *sequences*.
 
     Sequences matter: each admitted request mutates residual capacities,
     so later requests exercise the epoch-keyed residual/weighted caches
     and the flat workspaces rebuilt per epoch.  A single diverging
     tie-break anywhere would cascade into different trees, different
     allocations, and a different admission series — exactly what these
-    fingerprints would catch.
+    comparisons would catch.
+
+    The class name dates from the dict/CSR engine switch, which is gone:
+    the oracle side is now substituted inside each test.
     """
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_appro_multi_cap_sequence_bit_identical(self, seed):
-        def series():
-            network, request_seq = self._instance(seed)
-            out = []
-            for request in request_seq:
-                try:
-                    tree = appro_multi_cap(network, request, max_servers=2)
-                except InfeasibleRequestError:
-                    out.append(None)
-                    continue
-                # commit the allocation so later requests see the
-                # depleted residuals (and a bumped network epoch)
-                transaction = try_allocate(network, tree)
-                out.append((tree_bits(tree), transaction is not None))
-            return out
-        assert run_under_backend("dict", series) == run_under_backend(
-            "csr", series
-        )
+        """Structure exact; costs at ``rel=1e-12`` (see TestEngineIdentity)."""
+        network, request_seq = self._instance(seed)
+        for request in request_seq:
+            try:
+                expected = appro_multi_cap_reference(
+                    network, request, max_servers=2
+                )
+            except InfeasibleRequestError:
+                with pytest.raises(InfeasibleRequestError):
+                    appro_multi_cap(network, request, max_servers=2)
+                continue
+            tree = appro_multi_cap(network, request, max_servers=2)
+            assert tree.servers == expected.servers
+            assert tuple(tree.server_paths.items()) == tuple(
+                expected.server_paths.items()
+            )
+            assert tree.distribution_edges == expected.distribution_edges
+            assert tree.return_paths == expected.return_paths
+            assert tree.bandwidth_cost == pytest.approx(
+                expected.bandwidth_cost, rel=1e-12
+            )
+            assert tree.compute_cost == pytest.approx(
+                expected.compute_cost, rel=1e-12
+            )
+            # commit the allocation so later requests see the depleted
+            # residuals (and a bumped network epoch)
+            try_allocate(network, tree)
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("kind", ["cp", "cpk"])
-    def test_online_admission_series_bit_identical(self, seed, kind):
+    def test_online_admission_series_bit_identical(
+        self, seed, kind, monkeypatch
+    ):
         def series():
             network, request_seq = self._instance(seed)
             if kind == "cp":
@@ -259,9 +346,13 @@ class TestBackendIdentity:
                     else tree_bits(decision.tree),
                 ))
             return out
-        assert run_under_backend("dict", series) == run_under_backend(
-            "csr", series
-        )
+
+        production = series()
+        with monkeypatch.context() as patch:
+            calls = serve_trees_from_dict_dijkstra(patch)
+            oracle = series()
+        assert calls[0] > 0
+        assert production == oracle
 
     @staticmethod
     def _instance(seed):

@@ -10,13 +10,11 @@ heap traffic — where a non-replica heap would diverge — is the common case,
 not the rare one.
 """
 
-import os
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import NodeNotFoundError
+from repro.exceptions import InvalidWeightError, NodeNotFoundError
 from repro.graph import (
     Graph,
     ShortestPathCache,
@@ -24,10 +22,7 @@ from repro.graph import (
     dijkstra,
     dijkstra_csr,
     dijkstra_many,
-    graph_backend,
-    set_graph_backend,
 )
-from repro.graph.backend import ENV_VAR
 
 
 @st.composite
@@ -252,18 +247,6 @@ def test_csr_structure_invariants(graph):
     assert all(csr.nodes[i] == node for node, i in csr.index.items())
 
 
-def test_as_numpy_views_are_zero_copy():
-    numpy = pytest.importorskip("numpy")
-    graph = _ladder()
-    csr = compile_csr(graph)
-    indptr, indices, weights = csr.as_numpy()
-    assert indptr.dtype == numpy.int64
-    assert indices.dtype == numpy.int64
-    assert weights.dtype == numpy.float64
-    assert list(indptr) == list(csr.indptr)
-    assert weights.base is not None  # a view over the array, not a copy
-
-
 # ---------------------------------------------------------------------------
 # error paths
 # ---------------------------------------------------------------------------
@@ -275,79 +258,57 @@ def test_unknown_source_raises_node_not_found():
         dijkstra_csr(csr, "ghost")
 
 
+class _OneEdgeView:
+    """A two-node topology exposing only the iteration surface.
+
+    ``Graph`` refuses bad weights where they enter, but ``compile_csr``
+    accepts any object with ``nodes()`` / ``neighbor_items()`` — so it must
+    check on its own.
+    """
+
+    def __init__(self, weight):
+        self.weight = weight
+
+    def nodes(self):
+        return iter(["a", "b"])
+
+    def neighbor_items(self, node):
+        other = "b" if node == "a" else "a"
+        return [(other, self.weight)]
+
+
 @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
 def test_compile_rejects_nonfinite_weights(bad):
-    graph = Graph()
-    graph.add_edge("a", "b", bad)
-    with pytest.raises(ValueError, match="finite non-negative"):
-        compile_csr(graph)
+    with pytest.raises(InvalidWeightError, match="finite non-negative"):
+        compile_csr(_OneEdgeView(bad))
 
 
 def test_compile_rejects_negative_weights():
-    """``Graph`` rejects negatives itself, but ``compile_csr`` accepts any
-    object with the iteration surface — so it must check on its own."""
-
-    class NegativeView:
-        def nodes(self):
-            return iter(["a", "b"])
-
-        def neighbor_items(self, node):
-            other = "b" if node == "a" else "a"
-            return [(other, -1.0)]
-
-    with pytest.raises(ValueError, match="finite non-negative"):
-        compile_csr(NegativeView())
+    with pytest.raises(InvalidWeightError, match="finite non-negative"):
+        compile_csr(_OneEdgeView(-1.0))
 
 
 # ---------------------------------------------------------------------------
-# backend selector
+# cache integration
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture
-def clean_backend():
-    """Snapshot and restore the override + env var around a test."""
-    saved_env = os.environ.get(ENV_VAR)
-    yield
-    if saved_env is None:
-        set_graph_backend(None)
-    else:
-        set_graph_backend(saved_env)
+def test_cache_trees_identical_under_both_backends():
+    """The cache's CSR trees equal the dict engine's, lazy and warmed.
 
-
-def test_backend_defaults_to_csr(clean_backend):
-    set_graph_backend(None)
-    assert graph_backend() == "csr"
-
-
-def test_backend_env_var_and_override(clean_backend):
-    set_graph_backend(None)
-    os.environ[ENV_VAR] = "dict"
-    assert graph_backend() == "dict"
-    set_graph_backend("csr")  # explicit override beats the env var
-    assert graph_backend() == "csr"
-    assert os.environ[ENV_VAR] == "csr"  # mirrored for worker processes
-
-
-def test_backend_rejects_unknown_names(clean_backend):
-    set_graph_backend(None)  # the env-var path is only read with no override
-    with pytest.raises(ValueError, match="unknown graph backend"):
-        set_graph_backend("sparse")
-    os.environ[ENV_VAR] = "sparse"
-    with pytest.raises(ValueError, match="unknown graph backend"):
-        graph_backend()
-
-
-def test_cache_trees_identical_under_both_backends(clean_backend):
-    """The cache integration point returns identical trees per backend."""
+    ``ShortestPathCache.tree`` runs ``dijkstra_csr`` per miss and ``warm``
+    runs one ``dijkstra_many`` batch; both must reproduce the dict oracle
+    on the GEANT topology the figures and the benchmark use.
+    """
     from repro.analysis.common import build_real_network
 
     graph = build_real_network("GEANT", 20170605).graph
-    set_graph_backend("dict")
-    dict_cache = ShortestPathCache(graph)
-    dict_trees = {origin: dict_cache.tree(origin) for origin in graph.nodes()}
-    set_graph_backend("csr")
-    csr_cache = ShortestPathCache(graph)
-    csr_cache.warm(graph.nodes())
+    lazy = ShortestPathCache(graph)
+    warmed = ShortestPathCache(graph)
+    warmed.warm(graph.nodes())
+    assert warmed.misses == graph.num_nodes
     for origin in graph.nodes():
-        assert_trees_identical(dict_trees[origin], csr_cache.tree(origin))
+        expected = dijkstra(graph, origin)
+        assert_trees_identical(expected, lazy.tree(origin))
+        assert_trees_identical(expected, warmed.tree(origin))
+    assert warmed.misses == graph.num_nodes  # every lookup was a hit

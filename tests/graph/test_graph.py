@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.exceptions import EdgeNotFoundError, NodeNotFoundError
+from repro.exceptions import (
+    EdgeNotFoundError,
+    GraphError,
+    InvalidWeightError,
+    NodeNotFoundError,
+)
 from repro.graph import Graph, edge_key, edges_of_path, path_weight
 
 
@@ -52,6 +57,46 @@ class TestConstruction:
         g = Graph.from_edges([(1, 2, 1.0), (2, 3, 2.0)])
         assert g.has_edge(1, 2)
         assert sorted(g.nodes()) == [1, 2, 3]
+
+
+#: Weights every entry point must refuse: NaN slips past ``weight < 0``.
+BAD_WEIGHTS = [float("nan"), float("inf"), float("-inf"), -1.0]
+
+
+class TestWeightValidation:
+    """Negative and non-finite weights fail where they enter a graph."""
+
+    @pytest.mark.parametrize("bad", BAD_WEIGHTS, ids=repr)
+    def test_add_edge_rejects(self, bad):
+        g = Graph()
+        with pytest.raises(InvalidWeightError, match="finite non-negative"):
+            g.add_edge("a", "b", bad)
+        assert g.num_nodes == 0  # nothing half-added
+
+    @pytest.mark.parametrize("bad", BAD_WEIGHTS, ids=repr)
+    def test_set_weight_rejects(self, triangle, bad):
+        before = triangle.weight("a", "b")
+        with pytest.raises(InvalidWeightError) as caught:
+            triangle.set_weight("a", "b", bad)
+        assert (caught.value.u, caught.value.v) == ("a", "b")
+        assert triangle.weight("a", "b") == before
+        assert triangle.weight("b", "a") == before
+
+    @pytest.mark.parametrize("bad", BAD_WEIGHTS, ids=repr)
+    def test_from_adjacency_rejects(self, bad):
+        with pytest.raises(InvalidWeightError):
+            Graph.from_adjacency({"a": {"b": bad}, "b": {"a": bad}})
+
+    def test_error_is_typed_and_still_a_value_error(self):
+        assert issubclass(InvalidWeightError, GraphError)
+        assert issubclass(InvalidWeightError, ValueError)
+
+    def test_finite_non_negative_weights_pass(self):
+        g = Graph()
+        g.add_edge("a", "b", 0.0)
+        g.add_edge("b", "c", 1e300)
+        g.set_weight("a", "b", 2.5)
+        assert g.weight("b", "c") == 1e300
 
 
 class TestRemoval:
