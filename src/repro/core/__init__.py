@@ -41,6 +41,7 @@ from repro.core.cost_model import (
     CostModel,
     ExponentialCostModel,
     LinearCostModel,
+    LinkPrices,
     UtilizationCostModel,
 )
 from repro.core.delay_aware import (
@@ -60,7 +61,7 @@ from repro.core.online_base import (
     OnlineDecision,
     RejectReason,
 )
-from repro.core.online_cp import OnlineCP
+from repro.core.online_cp import OnlineCP, OnlineCPReference
 from repro.core.online_multi import OnlineCPK
 from repro.core.pseudo_tree import (
     PseudoMulticastTree,
@@ -81,6 +82,7 @@ __all__ = [
     "DEFAULT_MAX_SERVERS",
     "OnlineCP",
     "OnlineCPK",
+    "OnlineCPReference",
     "DelayAwareSolution",
     "delay_aware_multicast",
     "SPOnline",
@@ -94,6 +96,7 @@ __all__ = [
     "CostModel",
     "ExponentialCostModel",
     "LinearCostModel",
+    "LinkPrices",
     "UtilizationCostModel",
     "AdmissionPolicy",
     "try_allocate",

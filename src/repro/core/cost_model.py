@@ -11,14 +11,22 @@ lightly-loaded resources almost nothing and saturating resources steeply:
 with ``α = β = 2|V|``.  The *normalized weights* used inside Algorithm 2 are
 ``w_v(k) = c_v(k)/C_v`` and ``w_e(k) = c_e(k)/B_e``.  A *linear* model (the
 strawman the paper argues against) is provided for ablation benchmarks.
+
+:class:`LinkPrices` is the flat twin of :meth:`CostModel.weight_graph`: it
+prices every link once per network epoch and compiles each request's
+solver graph ``G_k`` straight from those prices.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Optional
+from typing import Dict, List, Optional, Tuple
 
+from repro.exceptions import InvalidWeightError
+from repro.graph.csr import CSRGraph
 from repro.graph.graph import Graph, Node
+from repro.graph.shortest_paths import INFINITY
+from repro.network.elements import LinkState
 from repro.network.sdn import SDNetwork
 
 #: Tiny per-unit-cost tie-break added to solver edge weights so that a
@@ -146,3 +154,105 @@ class UtilizationCostModel(CostModel):
 
     def node_weight(self, network: SDNetwork, node: Node) -> float:
         return network.server(node).utilization
+
+
+class LinkPrices:
+    """Per-epoch link prices of one network under one cost model.
+
+    The flat twin of :meth:`CostModel.weight_graph`.  Links are numbered in
+    ``network.graph.edges()`` order and nodes in topology order, both
+    fixed for the network's lifetime.  Every link is priced with
+    :meth:`CostModel.edge_weight` once per network epoch (any allocation,
+    release or failure bumps the epoch), and :meth:`priced_csr` compiles a
+    request's solver graph from those prices alone.
+
+    Attributes:
+        nodes: the topology's nodes; ``nodes[i]`` has index ``i``.
+        index: the inverse map ``node -> int``.
+        link_at: ``link_at[i][j]`` is the number of the link between nodes
+            ``i`` and ``j``.
+        price: ``price[l]`` is link ``l``'s normalized weight ``w_e(k)`` as
+            of the last :meth:`priced_csr` call (no tie-break added).
+    """
+
+    __slots__ = (
+        "_model",
+        "_network",
+        "nodes",
+        "index",
+        "link_at",
+        "_ends",
+        "_links",
+        "_tie_breaks",
+        "_epoch",
+        "price",
+        "_kept",
+    )
+
+    def __init__(self, model: CostModel, network: SDNetwork) -> None:
+        self._model = model
+        self._network = network
+        graph = network.graph
+        self.nodes: List[Node] = list(graph.nodes())
+        self.index: Dict[Node, int] = {
+            node: i for i, node in enumerate(self.nodes)
+        }
+        self.link_at: List[Dict[int, int]] = [{} for _ in self.nodes]
+        self._ends: List[Tuple[Node, Node, int, int]] = []
+        self._links: List[LinkState] = []
+        self._tie_breaks: List[float] = []
+        for link_id, (u, v, unit_cost) in enumerate(graph.edges()):
+            i, j = self.index[u], self.index[v]
+            self.link_at[i][j] = link_id
+            self.link_at[j][i] = link_id
+            self._ends.append((u, v, i, j))
+            self._links.append(network.link(u, v))
+            self._tie_breaks.append(TIE_BREAK_SCALE * unit_cost)
+        self._epoch: Optional[int] = None
+        self.price: List[float] = []
+        #: ``(i, j, solver weight, residual + 1e-9, u, v)`` per up link.
+        self._kept: List[Tuple[int, int, float, float, Node, Node]] = []
+
+    def _refresh(self) -> None:
+        """Re-price every link unless the network epoch is unchanged."""
+        network = self._network
+        if network.epoch == self._epoch:
+            return
+        edge_weight = self._model.edge_weight
+        self.price = [edge_weight(network, u, v) for u, v, _, _ in self._ends]
+        self._kept = [
+            (i, j, price + tie_break, link.residual + 1e-9, u, v)
+            for (u, v, i, j), link, price, tie_break in zip(
+                self._ends, self._links, self.price, self._tie_breaks
+            )
+            if link.up
+        ]
+        self._epoch = network.epoch
+
+    def priced_csr(self, min_residual_bandwidth: float = 0.0) -> CSRGraph:
+        """The solver graph of :meth:`CostModel.weight_graph`, compiled.
+
+        Same links (up, with ``residual + 1e-9 >= min_residual_bandwidth``),
+        same weights (price plus tie-break) and the same node and neighbor
+        order as the ``Graph`` that method builds, so a search on this
+        view equals one on ``compile_csr(weight_graph(...))``.
+
+        Raises:
+            InvalidWeightError: if a kept weight is negative, NaN or
+                infinite.
+        """
+        self._refresh()
+        rows: List[List[Tuple[int, float]]] = [[] for _ in self.nodes]
+        for i, j, weight, headroom, u, v in self._kept:
+            if headroom < min_residual_bandwidth:
+                continue
+            if not 0.0 <= weight < INFINITY:  # also rejects NaN
+                raise InvalidWeightError(u, v, weight)
+            rows[i].append((j, weight))
+            rows[j].append((i, weight))
+        return CSRGraph.from_adjacency(
+            self.nodes,
+            self.index,
+            [tuple(row) for row in rows],
+            epoch=self._epoch,
+        )

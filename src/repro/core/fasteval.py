@@ -16,7 +16,9 @@ combinations, so :class:`CSRCombinationEvaluator` memoizes all three by zero
 set and replays :func:`~repro.core.auxiliary.evaluate_combination` from the
 memos on flat integer arrays.  The replay runs the same float operations on
 the same operands in the same order and replicates every tie-break of the
-``prim_mst`` / ``kruskal_mst`` / ``prune_leaves`` pipeline, so its decoded
+``prim_mst`` / ``kruskal_mst`` / ``prune_leaves`` pipeline (through the
+index-space replicas in :mod:`repro.graph.steiner`, which ``Online_CP``'s
+flat core shares), so its decoded
 solution is **bit-for-bit identical** to the reference evaluator's, dict
 insertion order included — the differential test harness holds this to
 account on seeded instances.
@@ -30,7 +32,6 @@ touching an MST.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.auxiliary import (
@@ -45,6 +46,12 @@ from repro.core.auxiliary import (
 from repro.exceptions import EdgeNotFoundError
 from repro.graph.graph import Graph, Node
 from repro.graph.shortest_paths import INFINITY
+from repro.graph.steiner import (
+    flat_edges,
+    kruskal_forest,
+    prim_closure,
+    prune_leaves_flat,
+)
 from repro.obs import inc as _obs_inc, span as _obs_span
 
 #: Sentinel returned by :meth:`CSRCombinationEvaluator.evaluate` when the
@@ -517,120 +524,6 @@ class CSRCombinationEvaluator:
             self._paths[key] = edges
         return edges
 
-    def _prim_closure(
-        self, matrix: List[List[float]]
-    ) -> Dict[int, Dict[int, float]]:
-        """``prim_mst`` replica on the closure graph (root = ``s'`` = 0).
-
-        The closure's shape is fixed (complete over ``m + 1`` ids with the
-        adjacency orders precomputed in ``_closure_orders``); only the
-        weights vary.  The inlined flat heap replicates ``IndexedHeap``
-        operation for operation — ``<=`` stop on sift-up, strict ``<``
-        child selection and ``>=`` stop on sift-down, last-entry-to-root
-        on pop, strict-decrease on ``push_or_decrease`` — so equal-weight
-        closure edges attach exactly as ``prim_mst`` attaches them in the
-        reference.  Returns the tree adjacency with replica insertion
-        order.
-        """
-        orders = self._closure_orders
-        size_nodes = self._ndest + 1
-        hprio: List[float] = []
-        hkey: List[int] = []
-        pos = [-1] * size_nodes
-        attach_anchor = [-1] * size_nodes
-        attach_weight = [0.0] * size_nodes
-        in_tree = [False] * size_nodes
-        in_tree[0] = True
-        adj: Dict[int, Dict[int, float]] = {0: {}}
-        # root's neighbors, pushed in adjacency order (heap.push)
-        row0 = matrix[0]
-        for neighbor in orders[0]:
-            weight = row0[neighbor]
-            hole = len(hprio)
-            hprio.append(weight)
-            hkey.append(neighbor)
-            while hole > 0:
-                up = (hole - 1) >> 1
-                up_prio = hprio[up]
-                if up_prio <= weight:
-                    break
-                moved = hkey[up]
-                hprio[hole] = up_prio
-                hkey[hole] = moved
-                pos[moved] = hole
-                hole = up
-            hprio[hole] = weight
-            hkey[hole] = neighbor
-            pos[neighbor] = hole
-            attach_anchor[neighbor] = 0
-            attach_weight[neighbor] = weight
-        while hprio:
-            node = hkey[0]
-            last_prio = hprio.pop()
-            last_key = hkey.pop()
-            pos[node] = -1
-            size = len(hprio)
-            if size:
-                hole = 0
-                while True:
-                    child = 2 * hole + 1
-                    if child >= size:
-                        break
-                    child_prio = hprio[child]
-                    right = child + 1
-                    if right < size and (
-                        right_prio := hprio[right]
-                    ) < child_prio:
-                        child = right
-                        child_prio = right_prio
-                    if child_prio >= last_prio:
-                        break
-                    moved = hkey[child]
-                    hprio[hole] = child_prio
-                    hkey[hole] = moved
-                    pos[moved] = hole
-                    hole = child
-                hprio[hole] = last_prio
-                hkey[hole] = last_key
-                pos[last_key] = hole
-            anchor = attach_anchor[node]
-            weight = attach_weight[node]
-            # tree.add_edge(anchor, node, weight): anchor's entry first,
-            # then the fresh node's — dict-replica insertion order.
-            adj[anchor][node] = weight
-            adj[node] = {anchor: weight}
-            in_tree[node] = True
-            node_row = matrix[node]
-            for neighbor in orders[node]:
-                if in_tree[neighbor]:
-                    continue
-                edge_weight = node_row[neighbor]
-                hole = pos[neighbor]
-                if hole < 0:
-                    hole = len(hprio)
-                    hprio.append(edge_weight)
-                    hkey.append(neighbor)
-                elif edge_weight >= hprio[hole]:
-                    continue  # push_or_decrease returned False
-                else:
-                    hprio[hole] = edge_weight
-                while hole > 0:
-                    up = (hole - 1) >> 1
-                    up_prio = hprio[up]
-                    if up_prio <= edge_weight:
-                        break
-                    moved = hkey[up]
-                    hprio[hole] = up_prio
-                    hkey[hole] = moved
-                    pos[moved] = hole
-                    hole = up
-                hprio[hole] = edge_weight
-                hkey[hole] = neighbor
-                pos[neighbor] = hole
-                attach_anchor[neighbor] = node
-                attach_weight[neighbor] = edge_weight
-        return adj
-
     # ------------------------------------------------------------------
     # public interface
     # ------------------------------------------------------------------
@@ -703,103 +596,49 @@ class CSRCombinationEvaluator:
                 row0[i + 1] = total
                 matrix[i + 1][0] = total
 
-            tree_adj = self._prim_closure(matrix)
+            tree_adj = prim_closure(matrix, self._closure_orders)
 
             # --- expansion, walking closure-tree edges in edges() order
             dests = self._dests
             virtual = self._virtual
             vweight = self._vweight
             exp: Dict[int, Dict[int, float]] = {}
-            seen_closure = set()
-            for cu, crow in tree_adj.items():
-                for cv in crow:
-                    ckey = (cu, cv) if cu < cv else (cv, cu)
-                    if ckey in seen_closure:
-                        continue
-                    seen_closure.add(ckey)
-                    if cu == 0 or cv == 0:
-                        position = (cv if cu == 0 else cu) - 1
-                        _, server, case, v1, v2 = winners[position]
-                        row = exp.get(virtual)
-                        if row is None:
-                            row = exp[virtual] = {}
-                        row[server] = vweight[server]
-                        row = exp.get(server)
-                        if row is None:
-                            row = exp[server] = {}
-                        row[virtual] = vweight[server]
-                        path_edges = self._path_edges(
-                            zero, server, dests[position], case, v1, v2
-                        )
-                    else:
-                        i, j = (cu, cv) if cu < cv else (cv, cu)
-                        case, v1, v2 = pair_cases[(i, j)]
-                        path_edges = self._path_edges(
-                            zero, dests[i - 1], dests[j - 1], case, v1, v2
-                        )
-                    for eu, ev, ew in path_edges:
-                        row = exp.get(eu)
-                        if row is None:
-                            row = exp[eu] = {}
-                        row[ev] = ew
-                        row = exp.get(ev)
-                        if row is None:
-                            row = exp[ev] = {}
-                        row[eu] = ew
+            for cu, cv, _ in flat_edges(tree_adj):
+                if cu == 0 or cv == 0:
+                    position = (cv if cu == 0 else cu) - 1
+                    _, server, case, v1, v2 = winners[position]
+                    row = exp.get(virtual)
+                    if row is None:
+                        row = exp[virtual] = {}
+                    row[server] = vweight[server]
+                    row = exp.get(server)
+                    if row is None:
+                        row = exp[server] = {}
+                    row[virtual] = vweight[server]
+                    path_edges = self._path_edges(
+                        zero, server, dests[position], case, v1, v2
+                    )
+                else:
+                    i, j = (cu, cv) if cu < cv else (cv, cu)
+                    case, v1, v2 = pair_cases[(i, j)]
+                    path_edges = self._path_edges(
+                        zero, dests[i - 1], dests[j - 1], case, v1, v2
+                    )
+                for eu, ev, ew in path_edges:
+                    row = exp.get(eu)
+                    if row is None:
+                        row = exp[eu] = {}
+                    row[ev] = ew
+                    row = exp.get(ev)
+                    if row is None:
+                        row = exp[ev] = {}
+                    row[eu] = ew
 
-            # --- kruskal_mst replica: stable sort + union–find ----------
-            edge_list: List[Tuple[int, int, float]] = []
-            seen_exp = set()
-            for u, urow in exp.items():
-                for v, w in urow.items():
-                    ekey = (u, v) if u < v else (v, u)
-                    if ekey not in seen_exp:
-                        seen_exp.add(ekey)
-                        edge_list.append((u, v, w))
-            edge_list.sort(key=_edge_weight_key)
-            dsu = {u: u for u in exp}
-            forest: Dict[int, Dict[int, float]] = {u: {} for u in exp}
-            for u, v, w in edge_list:
-                ru = u
-                while dsu[ru] != ru:
-                    dsu[ru] = dsu[dsu[ru]]
-                    ru = dsu[ru]
-                rv = v
-                while dsu[rv] != rv:
-                    dsu[rv] = dsu[dsu[rv]]
-                    rv = dsu[rv]
-                if ru != rv:
-                    dsu[ru] = rv
-                    forest[u][v] = w
-                    forest[v][u] = w
-
-            # --- prune_leaves replica (in place: ``forest`` is fresh, so
-            # prune_leaves' defensive copy has nothing to protect) --------
+            forest = kruskal_forest(exp)
             with _obs_span("prune"):
-                protected = self._protected
-                pruned = forest
-                candidates = deque(
-                    node
-                    for node, urow in pruned.items()
-                    if len(urow) <= 1 and node not in protected
-                )
-                while candidates:
-                    leaf = candidates.popleft()
-                    urow = pruned.get(leaf)
-                    if urow is None or leaf in protected:
-                        continue
-                    if len(urow) > 1:
-                        continue
-                    neighbors = list(urow)
-                    for neighbor in neighbors:
-                        del pruned[neighbor][leaf]
-                    del pruned[leaf]
-                    for neighbor in neighbors:
-                        if (
-                            len(pruned[neighbor]) <= 1
-                            and neighbor not in protected
-                        ):
-                            candidates.append(neighbor)
+                # in place: ``forest`` is fresh, so prune_leaves' defensive
+                # copy has nothing to protect
+                pruned = prune_leaves_flat(forest, self._protected)
 
         virtual_row = pruned.get(self._virtual)
         if virtual_row:
@@ -812,15 +651,9 @@ class CSRCombinationEvaluator:
         if not used:
             self._solutions[memo_key] = None
             return None
-        # total_weight() replica: sum in edges() iteration order.
-        cost = 0.0
-        seen_cost = set()
-        for u, urow in pruned.items():
-            for v, w in urow.items():
-                ekey = (u, v) if u < v else (v, u)
-                if ekey not in seen_cost:
-                    seen_cost.add(ekey)
-                    cost += w
+        # total_weight() replica: sum() over the weights in edges() order
+        # (sum(), not a += loop: CPython 3.12's float sum() is compensated).
+        cost = sum([w for _, _, w in flat_edges(pruned)])
         solution = CSRSubsetSolution(
             combination=member_nodes,
             used_servers=used,
@@ -829,11 +662,6 @@ class CSRCombinationEvaluator:
         )
         self._solutions[memo_key] = solution
         return solution
-
-
-def _edge_weight_key(edge: Tuple[int, int, float]) -> float:
-    """Sort key replicating ``kruskal_mst``'s ``lambda edge: edge[2]``."""
-    return edge[2]
 
 
 #: Either solution type — the reference ``SubsetSolution`` or the flat

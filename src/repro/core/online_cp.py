@@ -17,21 +17,40 @@ chain):
    candidate survives.
 
 Theorem 2 gives this policy an ``O(log |V|)`` competitive ratio.
+
+:class:`OnlineCP` decides on integer node ids: one priced CSR graph per
+request (:class:`~repro.core.cost_model.LinkPrices`), Dijkstra rows from a
+:class:`~repro.graph.spcache.ShortestPathCache` on that view, the
+index-space KMB (:func:`~repro.graph.steiner.kmb_steiner_tree_flat`), and
+tree, detour and LCA arithmetic on parent walks.  Only the winning tree is
+decoded into a ``Graph``.  :class:`OnlineCPReference` keeps the dict-graph
+decide it replicates bit for bit — same decisions, same floats — as the
+differential oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.core.admission import AdmissionPolicy
-from repro.core.cost_model import CostModel, ExponentialCostModel
+from repro.core.cost_model import CostModel, ExponentialCostModel, LinkPrices
 from repro.core.online_base import OnlineAlgorithm, OnlineDecision, RejectReason
 from repro.core.pseudo_tree import PseudoMulticastTree
-from repro.exceptions import DisconnectedGraphError
+from repro.exceptions import (
+    DisconnectedGraphError,
+    NodeNotFoundError,
+    NotATreeError,
+)
 from repro.graph.graph import Graph, edge_key
+from repro.graph.shortest_paths import INFINITY
 from repro.graph.spcache import ShortestPathCache, VersionedCacheRegistry
-from repro.graph.steiner import kmb_steiner_tree_cached
+from repro.graph.steiner import (
+    FlatAdjacency,
+    flat_edges,
+    kmb_steiner_tree_cached,
+    kmb_steiner_tree_flat,
+)
 from repro.graph.tree import RootedTree
 from repro.network.sdn import SDNetwork
 from repro.obs import (
@@ -76,22 +95,9 @@ class OnlineCP(OnlineAlgorithm):
         super().__init__(network)
         self._model = cost_model or ExponentialCostModel.for_network(network)
         self._policy = policy or AdmissionPolicy.for_network(network)
-        # Congestion-priced graphs depend on residual state, so cached
-        # Dijkstra trees are keyed on the network epoch: consecutive
-        # decisions without an admission in between (rejections do not touch
-        # capacities) reuse both the weighted graph and its trees.
-        self._sp_registry = VersionedCacheRegistry()
-
-    def _weighted_cache(self, request: MulticastRequest) -> ShortestPathCache:
-        """Shortest-path cache on the congestion-priced graph for ``b_k``."""
-        network = self._network
-        return self._sp_registry.get(
-            ("weighted", request.bandwidth),
-            network.epoch,
-            lambda: self._model.weight_graph(
-                network, min_residual_bandwidth=request.bandwidth
-            ),
-        )
+        # Links are priced once per network epoch; each decision compiles
+        # its own priced graph from those prices and keeps nothing else.
+        self._prices = LinkPrices(self._model, network)
 
     @property
     def cost_model(self) -> CostModel:
@@ -106,6 +112,189 @@ class OnlineCP(OnlineAlgorithm):
     # ------------------------------------------------------------------
     # decision procedure
     # ------------------------------------------------------------------
+    def _decide(self, request: MulticastRequest) -> OnlineDecision:
+        network = self._network
+        demand = request.compute_demand
+        candidates = [
+            v
+            for v in network.server_nodes
+            if network.server(v).can_allocate(demand)
+        ]
+        if not candidates:
+            return self._reject(request, RejectReason.NO_FEASIBLE_SERVER)
+
+        prices = self._prices
+        csr = prices.priced_csr(request.bandwidth)
+        sp_cache = ShortestPathCache(compiled=csr, epoch=csr.epoch)
+        nodes = csr.nodes
+        index = csr.index
+        source_dist = sp_cache.flat_tree(request.source)[0]
+        source = index[request.source]
+        destinations = sorted(request.destinations, key=repr)
+        dest_ids: List[int] = []
+        for destination in destinations:
+            position = index.get(destination)
+            if position is None or source_dist[position] == INFINITY:
+                return self._reject(request, RejectReason.DISCONNECTED)
+            dest_ids.append(position)
+
+        # The source's and the destinations' rows may be read at any other
+        # terminal, so they are full; a server that is neither is read
+        # only at the destinations, so its search stops once they settle.
+        full = set(dest_ids)
+        full.add(source)
+        dest_set = set(destinations)
+
+        def rows(terminal: int) -> Tuple[List[float], List[int]]:
+            if terminal in full:
+                return sp_cache.flat_tree(nodes[terminal])
+            return sp_cache.flat_tree(nodes[terminal], targets=dest_set)
+
+        price = prices.price
+        link_at = prices.link_at
+        best: Optional[Tuple[Node, FlatAdjacency, int, float]] = None
+        saw_server_pass = False
+        saw_tree_built = False
+        for server in candidates:
+            server_weight = self._model.node_weight(network, server)
+            if not self._policy.server_admissible(server_weight):
+                continue
+            saw_server_pass = True
+            server_id = index[server]
+            if source_dist[server_id] == INFINITY:
+                continue
+            _obs_inc("online_cp.candidates")
+            try:
+                tree = kmb_steiner_tree_flat(
+                    csr, [source, server_id] + dest_ids, rows
+                )
+            except DisconnectedGraphError:
+                continue
+            tree_weight = sum(
+                [price[link_at[u][v]] for u, v, _ in flat_edges(tree)]
+            )
+            saw_tree_built = True
+            if not self._policy.tree_admissible(tree_weight):
+                continue
+            with _obs_span("lca_correction"):
+                detour = _detour(tree, source, server_id, dest_ids, nodes)
+                detour_weight = sum(
+                    [price[link_at[u][v]] for u, v in zip(detour, detour[1:])]
+                )
+            selection = tree_weight + server_weight + detour_weight
+            if best is None or selection < best[3]:
+                best = (server, tree, detour[-1], selection)
+
+        if best is None:
+            return self._reject(
+                request, _no_candidate_reason(saw_tree_built, saw_server_pass)
+            )
+
+        server, tree, meeting, selection = best
+        graph = Graph.from_adjacency(
+            {
+                nodes[u]: {nodes[v]: w for v, w in row.items()}
+                for u, row in tree.items()
+            }
+        )
+        return self._select(
+            request,
+            _Candidate(
+                server=server,
+                tree=graph,
+                rooted=RootedTree(graph, request.source),
+                meeting_point=nodes[meeting],
+                selection_weight=selection,
+            ),
+        )
+
+    def _select(
+        self, request: MulticastRequest, best: _Candidate
+    ) -> OnlineDecision:
+        """Admit ``request`` through the winning candidate."""
+        pseudo = self._build_pseudo_tree(request, best)
+        _obs_instant(
+            "online_cp.selected",
+            server=str(best.server),
+            selection_weight=best.selection_weight,
+        )
+        return self._admit(request, pseudo, best.selection_weight)
+
+    def _build_pseudo_tree(
+        self, request: MulticastRequest, candidate: _Candidate
+    ) -> PseudoMulticastTree:
+        """Translate the winning Steiner tree into routing + real costs."""
+        network = self._network
+        rooted = candidate.rooted
+        source_path = tuple(
+            reversed(rooted.path_between(candidate.server, request.source))
+        )
+        source_path_edges = set(_path_edges(source_path))
+        distribution = tuple(
+            (u, v)
+            for u, v, _ in candidate.tree.edges()
+            if edge_key(u, v) not in source_path_edges
+        )
+        return_path = tuple(
+            rooted.path_between(candidate.server, candidate.meeting_point)
+        )
+        return_paths = (return_path,) if len(return_path) > 1 else ()
+
+        bandwidth_cost = 0.0
+        for u, v, _ in candidate.tree.edges():
+            bandwidth_cost += network.link_unit_cost(u, v) * request.bandwidth
+        for u, v in _path_edges(return_path):
+            bandwidth_cost += network.link_unit_cost(u, v) * request.bandwidth
+        compute_cost = network.chain_cost(
+            candidate.server, request.compute_demand
+        )
+        return PseudoMulticastTree(
+            request=request,
+            servers=(candidate.server,),
+            server_paths={candidate.server: source_path},
+            distribution_edges=distribution,
+            return_paths=return_paths,
+            bandwidth_cost=bandwidth_cost,
+            compute_cost=compute_cost,
+        )
+
+
+class OnlineCPReference(OnlineCP):
+    """The dict-``Graph`` decide that :class:`OnlineCP` replicates.
+
+    Builds ``G_k`` with :meth:`CostModel.weight_graph`, reads Dijkstra
+    trees from an epoch-keyed :class:`ShortestPathCache`, runs
+    :func:`kmb_steiner_tree_cached` per candidate server, re-prices every
+    tree edge through :meth:`CostModel.edge_weight` and finds the meeting
+    point with :class:`RootedTree`.  Kept as the differential oracle, like
+    :func:`~repro.core.appro_multi.appro_multi_reference`: tests and
+    benchmarks run it, production does not.
+    """
+
+    def __init__(
+        self,
+        network: SDNetwork,
+        cost_model: Optional[CostModel] = None,
+        policy: Optional[AdmissionPolicy] = None,
+    ) -> None:
+        super().__init__(network, cost_model, policy)
+        # Congestion-priced graphs depend on residual state, so cached
+        # Dijkstra trees are keyed on the network epoch: consecutive
+        # decisions without an admission in between (rejections do not
+        # touch capacities) reuse both the weighted graph and its trees.
+        self._sp_registry = VersionedCacheRegistry()
+
+    def _weighted_cache(self, request: MulticastRequest) -> ShortestPathCache:
+        """Shortest-path cache on the congestion-priced graph for ``b_k``."""
+        network = self._network
+        return self._sp_registry.get(
+            ("weighted", request.bandwidth),
+            network.epoch,
+            lambda: self._model.weight_graph(
+                network, min_residual_bandwidth=request.bandwidth
+            ),
+        )
+
     def _decide(self, request: MulticastRequest) -> OnlineDecision:
         network = self._network
         demand = request.compute_demand
@@ -167,59 +356,72 @@ class OnlineCP(OnlineAlgorithm):
                 )
 
         if best is None:
-            if saw_tree_built:
-                reason = RejectReason.TREE_THRESHOLD
-            elif saw_server_pass:
-                reason = RejectReason.DISCONNECTED
-            else:
-                reason = RejectReason.SERVER_THRESHOLD
-            return self._reject(request, reason)
+            return self._reject(
+                request, _no_candidate_reason(saw_tree_built, saw_server_pass)
+            )
+        return self._select(request, best)
 
-        pseudo = self._build_pseudo_tree(request, best)
-        _obs_instant(
-            "online_cp.selected",
-            server=str(best.server),
-            selection_weight=best.selection_weight,
-        )
-        return self._admit(request, pseudo, best.selection_weight)
 
-    def _build_pseudo_tree(
-        self, request: MulticastRequest, candidate: _Candidate
-    ) -> PseudoMulticastTree:
-        """Translate the winning Steiner tree into routing + real costs."""
-        network = self._network
-        rooted = candidate.rooted
-        source_path = tuple(
-            reversed(rooted.path_between(candidate.server, request.source))
-        )
-        source_path_edges = set(_path_edges(source_path))
-        distribution = tuple(
-            (u, v)
-            for u, v, _ in candidate.tree.edges()
-            if edge_key(u, v) not in source_path_edges
-        )
-        return_path = tuple(
-            rooted.path_between(candidate.server, candidate.meeting_point)
-        )
-        return_paths = (return_path,) if len(return_path) > 1 else ()
+def _no_candidate_reason(
+    saw_tree_built: bool, saw_server_pass: bool
+) -> RejectReason:
+    """Why no candidate survived: the furthest test any server reached."""
+    if saw_tree_built:
+        return RejectReason.TREE_THRESHOLD
+    if saw_server_pass:
+        return RejectReason.DISCONNECTED
+    return RejectReason.SERVER_THRESHOLD
 
-        bandwidth_cost = 0.0
-        for u, v, _ in candidate.tree.edges():
-            bandwidth_cost += network.link_unit_cost(u, v) * request.bandwidth
-        for u, v in _path_edges(return_path):
-            bandwidth_cost += network.link_unit_cost(u, v) * request.bandwidth
-        compute_cost = network.chain_cost(
-            candidate.server, request.compute_demand
+
+def _detour(
+    tree: FlatAdjacency,
+    root: int,
+    server: int,
+    destinations: List[int],
+    nodes: List[Node],
+) -> List[int]:
+    """The tree path from ``server`` up to ``LCA(server, destinations)``.
+
+    ``tree`` is rooted at ``root`` by a parent walk, with
+    :class:`RootedTree`'s checks (the root is in the tree; the tree is
+    connected with one edge fewer than nodes).  The LCA of a set holding
+    ``server`` lies on ``server``'s root path: it is the highest point at
+    which a destination's own root path joins it.  The result ends at the
+    meeting point.
+
+    Raises:
+        NodeNotFoundError: if ``root`` is not in ``tree``.
+        NotATreeError: if ``tree`` is not a tree.
+    """
+    if root not in tree:
+        raise NodeNotFoundError(nodes[root])
+    parent: Dict[int, int] = {root: -1}
+    frontier = [root]
+    for node in frontier:
+        for neighbor in tree[node]:
+            if neighbor not in parent:
+                parent[neighbor] = node
+                frontier.append(neighbor)
+    size = len(tree)
+    edges = sum(len(row) for row in tree.values()) // 2
+    if edges != size - 1 or len(parent) != size:
+        raise NotATreeError(
+            f"graph with {size} nodes and {edges} edges is not a tree"
         )
-        return PseudoMulticastTree(
-            request=request,
-            servers=(candidate.server,),
-            server_paths={candidate.server: source_path},
-            distribution_edges=distribution,
-            return_paths=return_paths,
-            bandwidth_cost=bandwidth_cost,
-            compute_cost=compute_cost,
-        )
+    up = [server]
+    node = server
+    while node != root:
+        node = parent[node]
+        up.append(node)
+    height = {node: depth for depth, node in enumerate(up)}
+    top = 0
+    for destination in destinations:
+        node = destination
+        while node not in height:
+            node = parent[node]
+        if height[node] > top:
+            top = height[node]
+    return up[: top + 1]
 
 
 def _path_edges(path) -> List[Tuple[Node, Node]]:

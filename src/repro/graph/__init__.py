@@ -28,6 +28,7 @@ from repro.graph.csr import (
     compile_csr,
     dijkstra_csr,
     dijkstra_many,
+    dijkstra_rows,
 )
 from repro.graph.exact_steiner import dreyfus_wagner, steiner_cost_exact
 from repro.graph.graph import Graph, edge_key, edges_of_path, path_weight
@@ -99,6 +100,7 @@ __all__ = [
     "compile_csr",
     "dijkstra_csr",
     "dijkstra_many",
+    "dijkstra_rows",
     "dijkstra",
     "shortest_path",
     "shortest_path_length",

@@ -9,11 +9,18 @@ indices:
 - :func:`compile_csr` interns nodes (stable ``node -> int`` in insertion
   order) and lays the adjacency out in CSR form — ``indptr``/``indices`` as
   ``array('q')`` and ``weights`` as ``array('d')``;
-- :func:`dijkstra_csr` runs single-source Dijkstra over the compiled view
-  with flat distance/parent arrays and an inlined flat binary heap,
-  supporting the same ``targets=`` early exit as the dict engine;
-- :func:`dijkstra_many` sweeps many sources over one shared workspace —
-  the batched entry point for the multi-terminal fills in
+  :meth:`CSRGraph.from_adjacency` builds the same view straight from
+  per-node ``(neighbor index, weight)`` rows (the priced graphs of
+  ``Online_CP``, see :class:`~repro.core.cost_model.LinkPrices`);
+- one search loop fills fresh index rows (distance, parent) and records
+  the settle order and the first-relaxation order, with the same
+  ``targets=`` early exit as the dict engine;
+- :func:`dijkstra_rows` returns those rows as they are — the input of the
+  flat solver cores;
+- :func:`dijkstra_csr` decodes rows plus orders into a
+  :class:`~repro.graph.shortest_paths.ShortestPathTree`, and
+  :func:`dijkstra_many` does so for many sources with the target set
+  resolved once — the batched entry point for the multi-terminal fills in
   :func:`~repro.graph.steiner.metric_closure` and the per-request origin
   warm-up of :meth:`~repro.graph.spcache.ShortestPathCache.warm`.
 
@@ -32,6 +39,11 @@ and ``parent`` (first-relaxation order).  A d-ary heap would be faster per
 pop but reorders equal-priority pops, so a binary layout is load-bearing
 here; the differential harness and the hypothesis suite in
 ``tests/graph/test_csr.py`` hold the replica to the original.
+
+A targeted search's rows are exact at every node it settled — a settled
+node's distance and parent never change afterwards — and hold tentative
+values at nodes it only reached; consumers read such rows at the targets
+alone.
 
 The kernel is deliberately pure Python (the repo runs dependency-free):
 inside the search loop, list indexing is faster than numpy scalar access.
@@ -61,6 +73,12 @@ from repro.obs import inc as _obs_inc, span as _obs_span
 
 _INF = float("inf")
 
+#: Per-node adjacency: one tuple of ``(neighbor index, weight)`` per node.
+Adjacency = List[Tuple[Tuple[int, float], ...]]
+
+#: Index rows of one search: ``(distance row, parent row)``.
+Rows = Tuple[List[float], List[int]]
+
 
 class CSRGraph:
     """A compiled, immutable CSR view of a graph.
@@ -79,7 +97,16 @@ class CSRGraph:
             was derived at); purely informational.
     """
 
-    __slots__ = ("nodes", "index", "indptr", "indices", "weights", "epoch", "_engine")
+    __slots__ = (
+        "nodes",
+        "index",
+        "indptr",
+        "indices",
+        "weights",
+        "epoch",
+        "_adj",
+        "_engine",
+    )
 
     def __init__(
         self,
@@ -96,7 +123,38 @@ class CSRGraph:
         self.indices = indices
         self.weights = weights
         self.epoch = epoch
+        self._adj: Optional[Adjacency] = None
         self._engine: Optional[_CSRDijkstra] = None
+
+    @classmethod
+    def from_adjacency(
+        cls,
+        nodes: List[Node],
+        index: Dict[Node, int],
+        adjacency: Adjacency,
+        epoch: Optional[int] = None,
+    ) -> "CSRGraph":
+        """Build a view straight from per-node ``(neighbor, weight)`` rows.
+
+        ``adjacency[i]`` lists node ``i``'s neighbors in the order the
+        search must relax them (the source graph's ``neighbor_items()``
+        order).  The rows are kept as the engine's adjacency, so nothing
+        is re-derived from the CSR arrays.  The caller guarantees finite
+        non-negative, symmetric weights (see :func:`compile_csr`).
+        """
+        indptr = array("q", [0])
+        for row in adjacency:
+            indptr.append(indptr[-1] + len(row))
+        csr = cls(
+            nodes=nodes,
+            index=index,
+            indptr=indptr,
+            indices=array("q", [j for row in adjacency for j, _ in row]),
+            weights=array("d", [w for row in adjacency for _, w in row]),
+            epoch=epoch,
+        )
+        csr._adj = adjacency
+        return csr
 
     @property
     def num_nodes(self) -> int:
@@ -109,13 +167,7 @@ class CSRGraph:
         return len(self.indices) // 2
 
     def engine(self) -> "_CSRDijkstra":
-        """Return the (lazily created) shared search engine for this view.
-
-        The engine owns the reusable workspace arrays; sharing it across
-        calls is what makes :func:`dijkstra_many` allocation-free per
-        source.  Searches are sequential throughout this codebase, so a
-        single engine per view suffices.
-        """
+        """Return the (lazily created) shared search engine for this view."""
         engine = self._engine
         if engine is None:
             engine = self._engine = _CSRDijkstra(self)
@@ -129,7 +181,17 @@ class CSRGraph:
         cores can walk the topology without re-deriving it from
         ``indptr``/``indices``.  Treat it as read-only.
         """
-        return self.engine()._adj
+        adj = self._adj
+        if adj is None:
+            indptr = list(self.indptr)
+            indices = list(self.indices)
+            weights = list(self.weights)
+            adj = self._adj = [
+                tuple(zip(indices[indptr[i] : indptr[i + 1]],
+                          weights[indptr[i] : indptr[i + 1]]))
+                for i in range(len(self.nodes))
+            ]
+        return adj
 
     def __repr__(self) -> str:
         return f"CSRGraph(nodes={self.num_nodes}, edges={self.num_edges})"
@@ -155,79 +217,36 @@ def compile_csr(graph, epoch: Optional[int] = None) -> CSRGraph:
         _obs_inc("csr.compiles")
         nodes: List[Node] = list(graph.nodes())
         index: Dict[Node, int] = {node: i for i, node in enumerate(nodes)}
-        indptr = array("q", [0])
-        indices = array("q")
-        weights = array("d")
+        adjacency: Adjacency = []
         for node in nodes:
+            row = []
             for neighbor, weight in graph.neighbor_items(node):
                 if not 0.0 <= weight < _INF:  # also rejects NaN
                     raise InvalidWeightError(node, neighbor, weight)
-                indices.append(index[neighbor])
-                weights.append(weight)
-            indptr.append(len(indices))
-        return CSRGraph(
-            nodes=nodes,
-            index=index,
-            indptr=indptr,
-            indices=indices,
-            weights=weights,
-            epoch=epoch,
-        )
+                row.append((index[neighbor], weight))
+            adjacency.append(tuple(row))
+        return CSRGraph.from_adjacency(nodes, index, adjacency, epoch=epoch)
 
 
 class _CSRDijkstra:
-    """Reusable single-source Dijkstra engine over one compiled view.
+    """Single-source Dijkstra over one compiled view.
 
-    Owns a flat workspace sized once at construction and restored after
-    every run, so a batch of searches allocates nothing per source beyond
-    the result dicts.  Workspace invariants between runs:
-
-    - ``_dist[i] == inf`` — the not-yet-improved sentinel (see the module
-      docstring; this is what replaces the dict engine's settled check);
-    - ``_pos[i] == -1`` — node ``i`` is not in the heap.  During a run,
-      ``_pos`` is only meaningful for queued nodes: a settled node's slot
-      goes stale rather than being written back, because nothing reads it
-      (a settled node can never win the relaxation comparison).
-
-    The adjacency is held as one tuple of ``(neighbor, weight)`` pairs per
-    node — iterating pre-paired tuples beats ``indptr`` range walks with
-    double indexing, and plain Python lists/tuples index faster from the
-    interpreter loop than ``array('q')``/``array('d')``, which re-box every
-    element on read.
+    Every entry point runs the one search loop, :meth:`_search`.  Each
+    search fills fresh rows, so results can be handed out without copying
+    and no workspace needs restoring between runs.  The adjacency is held
+    as one tuple of ``(neighbor, weight)`` pairs per node — iterating
+    pre-paired tuples beats ``indptr`` range walks with double indexing,
+    and plain Python lists/tuples index faster from the interpreter loop
+    than ``array('q')``/``array('d')``, which re-box every element on read.
     """
 
-    __slots__ = (
-        "_nodes",
-        "_index",
-        "_adj",
-        "_dist",
-        "_pos",
-        "_dist_template",
-        "_pos_template",
-        "_hprio",
-        "_hkey",
-    )
+    __slots__ = ("_nodes", "_index", "_adj", "_size")
 
     def __init__(self, csr: CSRGraph) -> None:
-        indptr = list(csr.indptr)
-        indices = list(csr.indices)
-        weights = list(csr.weights)
-        n = len(csr.nodes)
-        self._nodes: List[Node] = list(csr.nodes)
+        self._nodes: List[Node] = csr.nodes
         self._index: Dict[Node, int] = csr.index
-        self._adj: List[Tuple[Tuple[int, float], ...]] = [
-            tuple(zip(indices[indptr[i] : indptr[i + 1]],
-                      weights[indptr[i] : indptr[i + 1]]))
-            for i in range(n)
-        ]
-        self._dist: List[float] = [_INF] * n
-        self._pos: List[int] = [-1] * n
-        # Pristine copies for the O(n) slice-assignment reset (a C-level
-        # copy, cheaper than a Python loop once most nodes were touched).
-        self._dist_template: List[float] = [_INF] * n
-        self._pos_template: List[int] = [-1] * n
-        self._hprio: List[float] = []
-        self._hkey: List[int] = []
+        self._adj: Adjacency = csr.adjacency()
+        self._size = len(csr.nodes)
 
     def run(
         self, source: Node, targets: Optional[Set[Node]] = None
@@ -247,7 +266,7 @@ class _CSRDijkstra:
         return self.run_resolved(source, self.resolve_targets(targets))
 
     def resolve_targets(
-        self, targets: Optional[Set[Node]] = None
+        self, targets: Optional[Iterable[Node]] = None
     ) -> Optional[frozenset]:
         """Intern a target set once, for reuse across a batch of sources.
 
@@ -278,45 +297,74 @@ class _CSRDijkstra:
         engine.  :func:`dijkstra_many` resolves the shared target set once
         and calls this per source, instead of re-hashing every target node
         object on every source of the batch.
+
+        The decode reads the search's orders: ``distance`` is filled in
+        settle order and ``parent`` in first-relaxation order, which are
+        the dict engine's insertion orders.
         """
+        source_idx = self._source_index(source)
+        dist, parent, settled, relaxed = self._search(source_idx, resolved)
+        nodes = self._nodes
+        distance = {nodes[i]: dist[i] for i in settled}
+        parent_map: Dict[Node, Optional[Node]] = {nodes[source_idx]: None}
+        for i in relaxed:
+            parent_map[nodes[i]] = nodes[parent[i]]
+        return ShortestPathTree(
+            source=source, distance=distance, parent=parent_map
+        )
+
+    def rows(self, source: Node, resolved: Optional[frozenset]) -> Rows:
+        """The search's ``(distance row, parent row)``, undecoded.
+
+        ``distance[i]`` is ``inf`` for a node the search never reached and
+        ``parent[i]`` is ``-1`` for the source and unreached nodes.
+        """
+        dist, parent, _, _ = self._search(self._source_index(source), resolved)
+        return dist, parent
+
+    def _source_index(self, source: Node) -> int:
         try:
-            source_idx = self._index[source]
+            return self._index[source]
         except KeyError:
             raise NodeNotFoundError(source) from None
-        _obs_inc("csr.dijkstra.calls")
-        if resolved is None:
-            return self._run_full(source_idx, source)
-        return self._run_targeted(source_idx, source, set(resolved))
 
     # ------------------------------------------------------------------
-    # core search loops (inlined heap — these loops are the whole point)
+    # the search loop (inlined heap — this loop is the whole point)
     # ------------------------------------------------------------------
-    def _run_full(self, source_idx: int, source: Node) -> ShortestPathTree:
-        """Settle the whole component of ``source`` and decode the tree.
+    def _search(
+        self, source_idx: int, resolved: Optional[frozenset]
+    ) -> Tuple[List[float], List[int], List[int], List[int]]:
+        """Settle from ``source_idx``; return rows plus both orders.
 
-        The flat binary heap below replicates ``IndexedHeap`` operation for
-        operation — see the module docstring for why tie order matters.
-        The result dicts are built *during* the search (``distance`` at
-        settle time, ``parent`` at first-improvement time), which lands
-        them in the dict engine's exact insertion order for free.
+        Returns ``(dist, parent, settled, relaxed)``: the index rows, the
+        settle order, and the first-relaxation order of every node other
+        than the source.  With ``resolved`` given the search stops once
+        every index in it has popped.  The flat binary heap replicates
+        ``IndexedHeap`` operation for operation — see the module docstring
+        for why tie order matters.  ``pos`` is only meaningful for queued
+        nodes: a settled node's slot goes stale rather than being written
+        back, because nothing reads it (a settled node can never win the
+        relaxation comparison).
         """
-        dist = self._dist
-        pos = self._pos
+        _obs_inc("csr.dijkstra.calls")
+        n = self._size
         adj = self._adj
-        nodes = self._nodes
-        hprio = self._hprio
-        hkey = self._hkey
+        dist = [_INF] * n
+        parent = [-1] * n
+        pos = [-1] * n
+        pending = None if resolved is None else set(resolved)
+        settled: List[int] = []
+        relaxed: List[int] = []
+        settle = settled.append
+        relax = relaxed.append
+        hprio: List[float] = [0.0]
+        hkey: List[int] = [source_idx]
         hprio_pop = hprio.pop
         hkey_pop = hkey.pop
         hprio_push = hprio.append
         hkey_push = hkey.append
-
-        distance: Dict[Node, float] = {}
-        parent_map: Dict[Node, Optional[Node]] = {nodes[source_idx]: None}
         dist[source_idx] = 0.0
         pos[source_idx] = 0
-        hprio_push(0.0)
-        hkey_push(source_idx)
 
         while hprio:
             # -- pop the minimum (IndexedHeap.pop) -----------------------
@@ -324,8 +372,7 @@ class _CSRDijkstra:
             node_dist = hprio[0]
             last_prio = hprio_pop()
             last_key = hkey_pop()
-            node_name = nodes[node]
-            distance[node_name] = node_dist
+            settle(node)
             size = len(hprio)
             if size:
                 hole = 0
@@ -348,6 +395,10 @@ class _CSRDijkstra:
                 hprio[hole] = last_prio
                 hkey[hole] = last_key
                 pos[last_key] = hole
+            if pending is not None:
+                pending.discard(node)
+                if not pending:
+                    break
             # -- relax neighbors ----------------------------------------
             for neighbor, weight in adj[node]:
                 # The sum is recomputed on accept: most relaxations reject,
@@ -356,9 +407,10 @@ class _CSRDijkstra:
                 if node_dist + weight < dist[neighbor]:
                     candidate = node_dist + weight
                     dist[neighbor] = candidate
-                    parent_map[nodes[neighbor]] = node_name
+                    parent[neighbor] = node
                     hole = pos[neighbor]
                     if hole < 0:
+                        relax(neighbor)
                         hole = len(hprio)
                         hprio_push(candidate)
                         hkey_push(neighbor)
@@ -376,110 +428,7 @@ class _CSRDijkstra:
                     hprio[hole] = candidate
                     hkey[hole] = neighbor
                     pos[neighbor] = hole
-        dist[:] = self._dist_template
-        pos[:] = self._pos_template
-        return ShortestPathTree(
-            source=source, distance=distance, parent=parent_map
-        )
-
-    def _run_targeted(
-        self, source_idx: int, source: Node, pending: Set[int]
-    ) -> ShortestPathTree:
-        """Settle from ``source`` until every index in ``pending`` popped.
-
-        Same loop as :meth:`_run_full` plus the per-pop pending check and a
-        ``pushed`` log so the early exit can restore only the touched
-        workspace slots (an exhausted search may still be cheaper to reset
-        by slice, but targeted runs typically touch a small fraction).
-        """
-        dist = self._dist
-        pos = self._pos
-        adj = self._adj
-        nodes = self._nodes
-        hprio = self._hprio
-        hkey = self._hkey
-        hprio_pop = hprio.pop
-        hkey_pop = hkey.pop
-        hprio_push = hprio.append
-        hkey_push = hkey.append
-
-        distance: Dict[Node, float] = {}
-        parent_map: Dict[Node, Optional[Node]] = {nodes[source_idx]: None}
-        pushed: List[int] = [source_idx]
-        pushed_append = pushed.append
-        dist[source_idx] = 0.0
-        pos[source_idx] = 0
-        hprio_push(0.0)
-        hkey_push(source_idx)
-
-        while hprio:
-            node = hkey[0]
-            node_dist = hprio[0]
-            last_prio = hprio_pop()
-            last_key = hkey_pop()
-            node_name = nodes[node]
-            distance[node_name] = node_dist
-            size = len(hprio)
-            if size:
-                hole = 0
-                while True:
-                    child = 2 * hole + 1
-                    if child >= size:
-                        break
-                    child_prio = hprio[child]
-                    right = child + 1
-                    if right < size and (right_prio := hprio[right]) < child_prio:
-                        child = right
-                        child_prio = right_prio
-                    if child_prio >= last_prio:
-                        break
-                    moved = hkey[child]
-                    hprio[hole] = child_prio
-                    hkey[hole] = moved
-                    pos[moved] = hole
-                    hole = child
-                hprio[hole] = last_prio
-                hkey[hole] = last_key
-                pos[last_key] = hole
-            pending.discard(node)
-            if not pending:
-                break
-            for neighbor, weight in adj[node]:
-                # Same inline-compare-then-recompute as _run_full.
-                if node_dist + weight < dist[neighbor]:
-                    candidate = node_dist + weight
-                    dist[neighbor] = candidate
-                    parent_map[nodes[neighbor]] = node_name
-                    hole = pos[neighbor]
-                    if hole < 0:
-                        pushed_append(neighbor)
-                        hole = len(hprio)
-                        hprio_push(candidate)
-                        hkey_push(neighbor)
-                    while hole > 0:
-                        up = (hole - 1) >> 1
-                        up_prio = hprio[up]
-                        if up_prio <= candidate:
-                            break
-                        moved = hkey[up]
-                        hprio[hole] = up_prio
-                        hkey[hole] = moved
-                        pos[moved] = hole
-                        hole = up
-                    hprio[hole] = candidate
-                    hkey[hole] = neighbor
-                    pos[neighbor] = hole
-        for touched in pushed:
-            dist[touched] = _INF
-            pos[touched] = -1
-        # An early exit leaves entries in the heap; settling to exhaustion
-        # leaves none, so the clear is a no-op there.
-        if hprio:
-            del hprio[:]
-            del hkey[:]
-        return ShortestPathTree(
-            source=source, distance=distance, parent=parent_map
-        )
+        return dist, parent, settled, relaxed
 
 
 def dijkstra_csr(
@@ -489,10 +438,26 @@ def dijkstra_csr(
 
     Drop-in equivalent of :func:`repro.graph.shortest_paths.dijkstra` on
     the source graph — identical distances, parents, and dict insertion
-    orders.  Reuses the view's shared engine, so consecutive calls on the
-    same view allocate no workspace.
+    orders.
     """
     return csr.engine().run(source, targets)
+
+
+def dijkstra_rows(
+    csr: CSRGraph, source: Node, targets: Optional[Set[Node]] = None
+) -> Rows:
+    """Single-source Dijkstra over a compiled view, as index rows.
+
+    The same search as :func:`dijkstra_csr` without the decode: returns
+    ``(distance row, parent row)`` indexed by the view's node indices.
+    With ``targets`` the rows are exact at every settled node (each
+    target, unless unreachable) and tentative elsewhere.
+
+    Raises:
+        NodeNotFoundError: if ``source`` is not in the compiled graph.
+    """
+    engine = csr.engine()
+    return engine.rows(source, engine.resolve_targets(targets))
 
 
 def dijkstra_many(
@@ -500,7 +465,7 @@ def dijkstra_many(
     sources: Sequence[Node],
     targets: Optional[Set[Node]] = None,
 ) -> Dict[Node, ShortestPathTree]:
-    """Batched Dijkstra sweep: one tree per source over a shared workspace.
+    """Batched Dijkstra sweep: one decoded tree per source.
 
     With ``targets`` given, each source's search stops once every target is
     settled (a source that is itself a target counts the moment it pops,

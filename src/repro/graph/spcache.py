@@ -29,7 +29,10 @@ bit-identical to the dict engine.  Each cache compiles its bound graph
 once — and since caches are epoch-keyed, that is once per epoch — then
 serves every miss from the compiled view; :meth:`ShortestPathCache.warm`
 batch-fills a set of origins through :func:`~repro.graph.csr.dijkstra_many`
-over the same view.
+over the same view.  A cache may also sit on a compiled view with no dict
+``Graph`` behind it (the per-request priced graph of ``Online_CP``); its
+flat consumers then read kernel rows through
+:meth:`ShortestPathCache.flat_tree`.
 
 Invariants (see docs/API.md for the full contract):
 
@@ -52,11 +55,19 @@ from typing import (
     List,
     Mapping,
     Optional,
+    Set,
     Tuple,
     Union,
 )
 
-from repro.graph.csr import CSRGraph, compile_csr, dijkstra_csr, dijkstra_many
+from repro.exceptions import GraphError
+from repro.graph.csr import (
+    CSRGraph,
+    compile_csr,
+    dijkstra_csr,
+    dijkstra_many,
+    dijkstra_rows,
+)
 from repro.graph.graph import Graph, Node
 from repro.graph.shortest_paths import ShortestPathTree
 from repro.obs import inc as _obs_inc, span as _obs_span
@@ -253,18 +264,25 @@ class ShortestPathCache:
 
     __slots__ = ("_graph", "_trees", "_csr", "_epoch", "_flat", "hits", "misses")
 
-    def __init__(self, graph: Graph, epoch: Optional[int] = None) -> None:
+    def __init__(
+        self,
+        graph: Optional[Graph] = None,
+        epoch: Optional[int] = None,
+        compiled: Optional[CSRGraph] = None,
+    ) -> None:
+        if graph is None and compiled is None:
+            raise ValueError("ShortestPathCache needs a graph or a compiled view")
         self._graph = graph
         self._trees: Dict[Node, ShortestPathTree] = {}
         # Compiled CSR view of the (immutable-for-our-lifetime) graph,
-        # built lazily on the first miss.  Because the cache is epoch-keyed
-        # via VersionedCacheRegistry, this is exactly "compile once per
-        # epoch".
-        self._csr: Optional[CSRGraph] = None
+        # built lazily on the first miss unless one was handed in.  Because
+        # the cache is epoch-keyed via VersionedCacheRegistry, this is
+        # exactly "compile once per epoch".
+        self._csr = compiled
         # Stamped onto the compiled view so consumers can audit which
         # network version a flat workspace was derived at.
         self._epoch = epoch
-        # Index-space rows derived from cached trees (see flat_tree).
+        # Index-space rows of full searches (see flat_tree).
         self._flat: Dict[Node, Tuple[List[float], List[int]]] = {}
         #: Served-from-memory lookup count (observability / benchmarks).
         self.hits = 0
@@ -273,8 +291,17 @@ class ShortestPathCache:
 
     @property
     def graph(self) -> Graph:
-        """The graph the cached trees were computed on."""
-        return self._graph
+        """The graph the cached trees were computed on.
+
+        Raises:
+            GraphError: if the cache sits on a compiled view alone.
+        """
+        graph = self._graph
+        if graph is None:
+            raise GraphError(
+                "this cache sits on a compiled view with no dict Graph"
+            )
+        return graph
 
     @property
     def epoch(self) -> Optional[int]:
@@ -285,7 +312,7 @@ class ShortestPathCache:
         """Return the CSR view of the bound graph, compiling it once."""
         csr = self._csr
         if csr is None:
-            csr = self._csr = compile_csr(self._graph, epoch=self._epoch)
+            csr = self._csr = compile_csr(self.graph, epoch=self._epoch)
         return csr
 
     def compiled(self) -> CSRGraph:
@@ -298,31 +325,41 @@ class ShortestPathCache:
         """
         return self._compiled()
 
-    def flat_tree(self, origin: Node) -> Tuple[List[float], List[int]]:
+    def flat_tree(
+        self, origin: Node, targets: Optional[Set[Node]] = None
+    ) -> Tuple[List[float], List[int]]:
         """Index-space view of :meth:`tree`: ``(distance row, parent row)``.
 
         Both rows are indexed by the compiled view's node indices:
-        ``distance[i]`` is the unit-cost distance to node ``i`` (``inf``
-        when unreachable) and ``parent[i]`` the predecessor index (``-1``
-        for the origin and unreachable nodes).  Rows are memoized per
-        origin, derived from the same cached tree :meth:`tree` serves — so
-        flat and dict consumers can never disagree.
+        ``distance[i]`` is the distance to node ``i`` (``inf`` when
+        unreachable) and ``parent[i]`` the predecessor index (``-1`` for
+        the origin and unreachable nodes).  A miss returns the kernel's
+        rows directly (:func:`~repro.graph.csr.dijkstra_rows`); an origin
+        whose dict tree is already cached is projected from that tree, so
+        flat and dict consumers can never disagree.  Full rows are
+        memoized per origin; like :meth:`tree`, every lookup counts as a
+        hit or, when it runs a search, a miss.
+
+        With ``targets`` the search may stop once every target has
+        settled: the rows are then exact at the targets (and every other
+        settled node) only, and are returned without being memoized, so a
+        later full lookup never reads them.  A memoized full row serves a
+        targeted lookup as it is.
         """
         cached = self._flat.get(origin)
         if cached is not None:
+            self.hits += 1
+            _obs_inc("spcache.hits")
             return cached
-        csr = self._compiled()
-        index = csr.index
-        size = len(csr.nodes)
-        tree = self.tree(origin)
-        dist_row: List[float] = [_FLAT_INF] * size
-        parent_row: List[int] = [-1] * size
-        for node, value in tree.distance.items():
-            dist_row[index[node]] = value
-        for node, predecessor in tree.parent.items():
-            if predecessor is not None:
-                parent_row[index[node]] = index[predecessor]
-        rows = (dist_row, parent_row)
+        if origin in self._trees:
+            rows = _tree_rows(self._compiled(), self.tree(origin))
+        else:
+            self.misses += 1
+            _obs_inc("spcache.misses")
+            with _obs_span("dijkstra"):
+                rows = dijkstra_rows(self._compiled(), origin, targets)
+            if targets is not None:
+                return rows
         self._flat[origin] = rows
         return rows
 
@@ -377,8 +414,8 @@ class ShortestPathCache:
     def scaled_view(self, factor: float) -> Union[Graph, ScaledGraphView]:
         """Return the bound graph with weights scaled by ``factor``."""
         if factor == 1.0:
-            return self._graph
-        return ScaledGraphView(self._graph, factor)
+            return self.graph
+        return ScaledGraphView(self.graph, factor)
 
     def clear(self) -> None:
         """Drop every cached tree (keeps the graph binding)."""
@@ -390,7 +427,10 @@ class ShortestPathCache:
         return self.tree(origin)
 
     def __contains__(self, origin: object) -> bool:
-        return self._graph.has_node(origin)
+        graph = self._graph
+        if graph is None:
+            return origin in self._compiled().index
+        return graph.has_node(origin)
 
     def __len__(self) -> int:
         return len(self._trees)
@@ -400,6 +440,22 @@ class ShortestPathCache:
             f"ShortestPathCache(origins={len(self._trees)}, "
             f"hits={self.hits}, misses={self.misses})"
         )
+
+
+def _tree_rows(
+    csr: CSRGraph, tree: ShortestPathTree
+) -> Tuple[List[float], List[int]]:
+    """Project a decoded tree onto ``csr``'s index space."""
+    index = csr.index
+    size = len(csr.nodes)
+    dist_row: List[float] = [_FLAT_INF] * size
+    parent_row: List[int] = [-1] * size
+    for node, value in tree.distance.items():
+        dist_row[index[node]] = value
+    for node, predecessor in tree.parent.items():
+        if predecessor is not None:
+            parent_row[index[node]] = index[predecessor]
+    return dist_row, parent_row
 
 
 class VersionedCacheRegistry:

@@ -36,6 +36,7 @@ _SP_FUNCTIONS = frozenset(
         "all_pairs_shortest_paths",
         "dijkstra_csr",
         "dijkstra_many",
+        "dijkstra_rows",
     }
 )
 _SP_QUALIFIED = frozenset(

@@ -7,9 +7,12 @@ import pytest
 from repro.core import (
     ExponentialCostModel,
     LinearCostModel,
+    LinkPrices,
     UtilizationCostModel,
 )
 from repro.core.cost_model import TIE_BREAK_SCALE
+from repro.exceptions import InvalidWeightError
+from repro.graph import compile_csr
 
 
 def first_edge(network):
@@ -116,3 +119,76 @@ class TestLinearModels:
             server, 0.3 * small_network.server(server).capacity
         )
         assert model.node_weight(small_network, server) == pytest.approx(0.3)
+
+
+def load_and_fail(network):
+    """Book uneven bandwidth on a few links and fail another one."""
+    edges = [edge[:2] for edge in network.graph.edges()]
+    for step, (u, v) in enumerate(edges[:6]):
+        link = network.link(u, v)
+        network.allocate_bandwidth(u, v, (0.15 * step + 0.1) * link.capacity)
+    network.fail_link(*edges[7])
+
+
+class CountingModel(ExponentialCostModel):
+    """Exponential pricing that counts its link-price calls."""
+
+    calls = 0
+
+    def edge_weight(self, network, u, v):
+        CountingModel.calls += 1
+        return super().edge_weight(network, u, v)
+
+
+class TestLinkPrices:
+    """The flat twin of weight_graph: same graph, priced once per epoch."""
+
+    @pytest.mark.parametrize(
+        "model",
+        [ExponentialCostModel(), LinearCostModel(), UtilizationCostModel()],
+        ids=["exponential", "linear", "utilization"],
+    )
+    @pytest.mark.parametrize("bandwidth", [0.0, 50.0, 2_500.0])
+    def test_priced_csr_equals_compiled_weight_graph(
+        self, small_network, model, bandwidth
+    ):
+        load_and_fail(small_network)
+        prices = LinkPrices(model, small_network)
+        flat = prices.priced_csr(bandwidth)
+        expected = compile_csr(
+            model.weight_graph(small_network, min_residual_bandwidth=bandwidth)
+        )
+        assert flat.nodes == expected.nodes
+        assert flat.index == expected.index
+        assert flat.adjacency() == expected.adjacency()
+        assert flat.epoch == small_network.epoch
+        for u, v, _ in small_network.graph.edges():
+            link_id = prices.link_at[prices.index[u]][prices.index[v]]
+            assert prices.price[link_id] == model.edge_weight(small_network, u, v)
+
+    def test_links_are_priced_once_per_epoch(self, small_network):
+        prices = LinkPrices(CountingModel(), small_network)
+        links = small_network.graph.num_edges
+        CountingModel.calls = 0
+        prices.priced_csr(10.0)
+        prices.priced_csr(80.0)
+        assert CountingModel.calls == links
+        u, v = first_edge(small_network)
+        small_network.allocate_bandwidth(u, v, 1.0)
+        prices.priced_csr(10.0)
+        assert CountingModel.calls == 2 * links
+
+    def test_kept_invalid_weight_raises_like_compile(self, small_network):
+        class BrokenModel(ExponentialCostModel):
+            def edge_weight(self, network, u, v):
+                return math.nan if (u, v) == broken else 0.0
+
+        broken = first_edge(small_network)
+        prices = LinkPrices(BrokenModel(), small_network)
+        with pytest.raises(InvalidWeightError, match="finite non-negative"):
+            prices.priced_csr(10.0)
+        # a link the request cannot use is never checked, as in weight_graph
+        small_network.fail_link(*broken)
+        assert prices.priced_csr(10.0).num_edges == (
+            small_network.graph.num_edges - 1
+        )

@@ -19,14 +19,21 @@ rewrite to the seed behaviour over a bank of seeded random instances:
    factor of the auxiliary-graph optimum (Theorem 1).
 4. **Sequence identity** — over request sequences that commit their
    allocations: ``appro_multi_cap`` matches the seed search
-   (``_search_reference``) on the same pruned residual graph, and the
-   ``Online_CP`` / ``Online_CP_K`` admission series match runs whose every
+   (``_search_reference``) on the same pruned residual graph; the flat
+   ``Online_CP`` matches its dict-graph reference decide
+   (``OnlineCPReference``, trees from the dict ``dijkstra`` oracle) on a
+   twin network, over churn with departures, congestion that triggers
+   every reject reason, and topologies where every unit cost is equal; and
+   the ``Online_CP_K`` admission series matches a run whose every
    shortest-path tree comes from the dict ``dijkstra`` oracle instead of
    the CSR kernel.
 
 Every instance derives from an explicit seed, so a failure names the exact
 graph that broke and is replayable in isolation.
 """
+
+import functools
+import random
 
 import pytest
 
@@ -35,6 +42,8 @@ from repro.core import (
     CSRCombinationEvaluator,
     OnlineCP,
     OnlineCPK,
+    OnlineCPReference,
+    RejectReason,
     appro_multi,
     appro_multi_cap,
     appro_multi_detailed,
@@ -48,7 +57,13 @@ from repro.core import (
 )
 from repro.core.appro_multi import _search_reference
 from repro.exceptions import InfeasibleRequestError
-from repro.graph import dijkstra, kmb_steiner_tree, spcache, steiner_tree_cost
+from repro.graph import (
+    Graph,
+    dijkstra,
+    kmb_steiner_tree,
+    spcache,
+    steiner_tree_cost,
+)
 from repro.network import build_sdn
 from repro.topology import waxman_graph
 from repro.workload import generate_workload
@@ -330,12 +345,15 @@ class TestBackendIdentity:
     def test_online_admission_series_bit_identical(
         self, seed, kind, monkeypatch
     ):
+        if kind == "cp":
+            production, oracle = online_cp_twin_series(seed)
+            assert len(production) >= 80
+            assert production == oracle
+            return
+
         def series():
             network, request_seq = self._instance(seed)
-            if kind == "cp":
-                algorithm = OnlineCP(network)
-            else:
-                algorithm = OnlineCPK(network, max_servers=2)
+            algorithm = OnlineCPK(network, max_servers=2)
             out = []
             for request in request_seq:
                 decision = algorithm.process(request)
@@ -354,6 +372,16 @@ class TestBackendIdentity:
         assert calls[0] > 0
         assert production == oracle
 
+    def test_online_cp_twins_meet_every_reject_reason(self):
+        """The congested twins exercise every reason ``Online_CP`` gives.
+
+        ``TABLE_CAPACITY`` is the controller's, never the algorithm's.
+        """
+        seen = set()
+        for seed in SEEDS:
+            seen.update(entry[1] for entry in online_cp_twin_series(seed)[0])
+        assert seen >= set(RejectReason) - {RejectReason.TABLE_CAPACITY}
+
     @staticmethod
     def _instance(seed):
         """A fresh network plus a short request sequence for one seed."""
@@ -363,6 +391,78 @@ class TestBackendIdentity:
             graph, count=5, dmax_ratio=0.25, seed=seed + 10_000
         )
         return network, request_seq
+
+
+#: Twin-run stream length, and the chance of a departure before each
+#: arrival (repeated, so bursts of departures happen too).
+TWIN_REQUESTS = 80
+TWIN_DEPARTURE_CHANCE = 0.3
+
+
+def congested_twin(seed):
+    """A small, congested network for one seed, plus its request stream.
+
+    Link and server capacities are a fraction of the defaults, so the
+    stream meets every reject reason; every odd seed sets all link unit
+    costs equal, which makes the idle prices and the Dijkstra searches
+    tie everywhere.  Calling this twice yields twin networks.
+    """
+    graph, _ = waxman_graph(16, alpha=0.5, beta=0.5, seed=seed)
+    if seed % 2:
+        graph = Graph.from_edges((u, v, 1.0) for u, v, _ in graph.edges())
+    network = build_sdn(
+        graph,
+        seed=seed,
+        server_fraction=0.3,
+        bandwidth_range=(300.0, 1_500.0),
+        compute_range=(100.0, 600.0),
+    )
+    request_seq = generate_workload(
+        graph, count=TWIN_REQUESTS, dmax_ratio=0.25, seed=seed + 10_000
+    )
+    return network, request_seq
+
+
+def departing_series(algorithm, request_seq, seed):
+    """Decide ``request_seq`` with seeded random departures in between.
+
+    Records every decision bitwise: verdict, reason, selection weight and
+    the admitted pseudo-tree.  The departures depend only on the seed and
+    the decisions so far, so twins depart alike until they diverge.
+    """
+    rng = random.Random(seed)
+    active = []
+    out = []
+    for request in request_seq:
+        while active and rng.random() < TWIN_DEPARTURE_CHANCE:
+            algorithm.depart(active.pop(rng.randrange(len(active))))
+        decision = algorithm.process(request)
+        if decision.admitted:
+            active.append(request.request_id)
+        out.append((
+            decision.admitted,
+            decision.reason,
+            decision.selection_weight,
+            None if decision.tree is None else tree_bits(decision.tree),
+        ))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def online_cp_twin_series(seed):
+    """``(flat OnlineCP series, reference series)`` on twin networks.
+
+    The reference decides on dict graphs with every shortest-path tree
+    served by the dict ``dijkstra`` oracle.
+    """
+    network, request_seq = congested_twin(seed)
+    production = departing_series(OnlineCP(network), request_seq, seed)
+    with pytest.MonkeyPatch.context() as patch:
+        calls = serve_trees_from_dict_dijkstra(patch)
+        twin, _ = congested_twin(seed)
+        oracle = departing_series(OnlineCPReference(twin), request_seq, seed)
+    assert calls[0] > 0
+    return production, oracle
 
 
 class TestApproximationBound:

@@ -221,3 +221,34 @@ class TestLoadBalancing:
         algorithm = OnlineCP(small_network, cost_model=LinearCostModel())
         decision = algorithm.process(request_batch[0])
         assert decision.admitted
+
+
+class TestDetour:
+    """The flat LCA walk keeps RootedTree's checks and its answers."""
+
+    def test_meeting_point_is_highest_join_on_the_server_path(self):
+        from repro.core.online_cp import _detour
+
+        # 0 is the root; the server 3 hangs below 1, destinations below 1
+        # and 2, so the paths join at the root.
+        tree = {0: {1: 1.0, 2: 1.0}, 1: {0: 1.0, 3: 1.0, 4: 1.0},
+                2: {0: 1.0}, 3: {1: 1.0}, 4: {1: 1.0}}
+        nodes = list(range(5))
+        assert _detour(tree, 0, 3, [4], nodes) == [3, 1]
+        assert _detour(tree, 0, 3, [4, 2], nodes) == [3, 1, 0]
+        assert _detour(tree, 0, 3, [3], nodes) == [3]
+        assert _detour(tree, 0, 0, [4], nodes) == [0]
+
+    def test_rejects_what_rooted_tree_rejects(self):
+        from repro.core.online_cp import _detour
+        from repro.exceptions import NodeNotFoundError, NotATreeError
+
+        cycle = {0: {1: 1.0, 2: 1.0}, 1: {0: 1.0, 2: 1.0}, 2: {0: 1.0, 1: 1.0}}
+        with pytest.raises(NotATreeError):
+            _detour(cycle, 0, 1, [2], list(range(3)))
+        # n - 1 edges, but a cycle plus an isolated node
+        split = {**cycle, 3: {}}
+        with pytest.raises(NotATreeError):
+            _detour(split, 0, 1, [2], list(range(4)))
+        with pytest.raises(NodeNotFoundError):
+            _detour({1: {}}, 0, 1, [], list(range(2)))

@@ -14,14 +14,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import InvalidWeightError, NodeNotFoundError
+from repro.exceptions import GraphError, InvalidWeightError, NodeNotFoundError
 from repro.graph import (
+    CSRGraph,
     Graph,
     ShortestPathCache,
     compile_csr,
     dijkstra,
     dijkstra_csr,
     dijkstra_many,
+    dijkstra_rows,
 )
 
 
@@ -93,6 +95,56 @@ def test_targeted_search_matches_dict_engine(graph, data):
         dijkstra(graph, source, targets=targets),
         dijkstra_csr(csr, source, targets=targets),
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_graphs(tie_heavy=True), st.data())
+def test_rows_match_decoded_trees_full_and_targeted(graph, data):
+    """One search loop: its rows and its decoded trees agree everywhere.
+
+    For a full and a targeted run from the same source, the decoded tree
+    equals the dict engine's (insertion order included), the rows equal
+    the decoded tree at every settled node, and a targeted run's rows
+    equal the full run's rows there.
+    """
+    nodes = list(graph.nodes())
+    source = data.draw(st.sampled_from(nodes))
+    targets = set(data.draw(st.lists(st.sampled_from(nodes), max_size=4)))
+    csr = compile_csr(graph)
+    index = csr.index
+    full_dist, full_parent = dijkstra_rows(csr, source)
+    for chosen in (None, targets):
+        tree = dijkstra_csr(csr, source, targets=chosen)
+        assert_trees_identical(dijkstra(graph, source, targets=chosen), tree)
+        dist, parent = dijkstra_rows(csr, source, targets=chosen)
+        for node, value in tree.distance.items():
+            i = index[node]
+            assert dist[i] == value == full_dist[i]
+            assert parent[i] == full_parent[i]
+            predecessor = tree.parent[node]
+            assert parent[i] == (-1 if predecessor is None else index[predecessor])
+    settled = dijkstra_csr(csr, source).distance
+    for node in nodes:
+        if node not in settled:
+            assert full_dist[index[node]] == float("inf")
+            assert full_parent[index[node]] == -1
+
+
+def test_from_adjacency_equals_compiled_view():
+    """A view built from rows searches exactly like the compiled one."""
+    graph = _ladder()
+    compiled = compile_csr(graph, epoch=3)
+    rebuilt = CSRGraph.from_adjacency(
+        compiled.nodes, compiled.index, compiled.adjacency(), epoch=3
+    )
+    assert list(rebuilt.indptr) == list(compiled.indptr)
+    assert list(rebuilt.indices) == list(compiled.indices)
+    assert list(rebuilt.weights) == list(compiled.weights)
+    assert rebuilt.num_edges == compiled.num_edges and rebuilt.epoch == 3
+    for source in graph.nodes():
+        assert_trees_identical(
+            dijkstra_csr(compiled, source), dijkstra_csr(rebuilt, source)
+        )
 
 
 def _ladder():
@@ -312,3 +364,45 @@ def test_cache_trees_identical_under_both_backends():
         assert_trees_identical(expected, lazy.tree(origin))
         assert_trees_identical(expected, warmed.tree(origin))
     assert warmed.misses == graph.num_nodes  # every lookup was a hit
+
+
+def test_cache_on_compiled_view_serves_kernel_rows():
+    """A cache with no dict Graph behind it: rows, trees, membership."""
+    graph = _ladder()
+    csr = compile_csr(graph, epoch=5)
+    cache = ShortestPathCache(compiled=csr, epoch=5)
+    assert cache.compiled() is csr and cache.epoch == 5
+    assert 0 in cache and "ghost" not in cache
+    with pytest.raises(GraphError):
+        cache.graph
+    rows = cache.flat_tree(0)
+    assert rows == dijkstra_rows(csr, 0)
+    assert cache.flat_tree(0) is rows  # full rows are memoized
+    assert cache.misses == 1
+    assert_trees_identical(dijkstra(graph, 1), cache.tree(1))
+    with pytest.raises(ValueError):
+        ShortestPathCache()
+
+
+def test_targeted_rows_are_never_memoized():
+    """A partial row is returned as is; a later full lookup searches anew."""
+    graph = _ladder()
+    cache = ShortestPathCache(compiled=compile_csr(graph))
+    partial = cache.flat_tree(0, targets={1})
+    full = cache.flat_tree(0)
+    assert cache.misses == 2
+    assert full == dijkstra_rows(cache.compiled(), 0)
+    assert partial[0][1] == full[0][1] and partial[1][1] == full[1][1]
+    # a memoized full row serves a targeted lookup without a search
+    assert cache.flat_tree(0, targets={1}) is full
+    assert cache.misses == 2
+
+
+def test_flat_tree_projects_an_already_cached_dict_tree():
+    """Dict and flat consumers of one cache read the same search."""
+    graph = _ladder()
+    cache = ShortestPathCache(graph)
+    tree = cache.tree(2)
+    assert cache.flat_tree(2) == dijkstra_rows(cache.compiled(), 2)
+    assert cache.misses == 1 and cache.hits == 1
+    assert cache.tree(2) is tree

@@ -1,10 +1,14 @@
 """Unit tests for the KMB Steiner-tree approximation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import DisconnectedGraphError, NodeNotFoundError
 from repro.graph import (
     Graph,
+    ShortestPathCache,
+    compile_csr,
     dijkstra,
     dreyfus_wagner,
     is_tree,
@@ -14,6 +18,7 @@ from repro.graph import (
     steiner_tree_cost,
     validate_steiner_tree,
 )
+from repro.graph.steiner import flat_edges, kmb_steiner_tree_flat
 from repro.topology import grid_graph, waxman_graph
 
 
@@ -133,6 +138,77 @@ class TestKMBCached:
         tree = kmb_steiner_tree_cached(triangle, {}, ["a", "a"])
         assert tree.num_nodes == 1
         assert tree.has_node("a")
+
+
+@st.composite
+def graphs_with_terminals(draw):
+    """A random graph (tie-heavy half the time, maybe disconnected) and
+    a terminal list that may repeat nodes."""
+    n = draw(st.integers(2, 14))
+    if draw(st.booleans()):
+        weights = st.sampled_from([1.0, 1.0, 2.0])
+    else:
+        weights = st.floats(0.1, 50.0, allow_nan=False, allow_infinity=False)
+    graph = Graph()
+    for node in range(n):
+        graph.add_node(node)
+    for _ in range(draw(st.integers(n - 2, 3 * n))):
+        u = draw(st.integers(0, n - 1))
+        v = draw(st.integers(0, n - 1))
+        if u != v:
+            graph.add_edge(u, v, draw(weights))
+    terminals = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6))
+    return graph, terminals
+
+
+class TestKMBFlat:
+    """Index-space KMB: the cached KMB's tree, dict iteration order included."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(graphs_with_terminals(), st.booleans())
+    def test_matches_cached_kmb_bit_for_bit(self, case, partial_second):
+        graph, terminals = case
+        trees = ShortestPathCache(graph)
+        csr = compile_csr(graph)
+        rows_cache = ShortestPathCache(compiled=csr)
+        unique = list(dict.fromkeys(terminals))
+        later = set(unique[2:])
+
+        def rows(terminal):
+            node = csr.nodes[terminal]
+            # The second terminal is read only at the terminals after it,
+            # so a search that stops once they settle must be enough.
+            if partial_second and len(unique) > 1 and node == unique[1]:
+                return rows_cache.flat_tree(node, targets=later)
+            return rows_cache.flat_tree(node)
+
+        ids = [csr.index[t] for t in terminals]
+        try:
+            expected = kmb_steiner_tree_cached(graph, trees, terminals)
+        except DisconnectedGraphError:
+            with pytest.raises(DisconnectedGraphError):
+                kmb_steiner_tree_flat(csr, ids, rows)
+            return
+        flat = kmb_steiner_tree_flat(csr, ids, rows)
+        nodes = csr.nodes
+        assert tuple(
+            (nodes[u], tuple((nodes[v], w) for v, w in row.items()))
+            for u, row in flat.items()
+        ) == tuple(
+            (u, tuple(expected.neighbor_items(u))) for u in expected.nodes()
+        )
+        assert [
+            (nodes[u], nodes[v], w) for u, v, w in flat_edges(flat)
+        ] == list(expected.edges())
+
+    def test_empty_raises(self, triangle):
+        csr = compile_csr(triangle)
+        with pytest.raises(ValueError):
+            kmb_steiner_tree_flat(csr, [], lambda t: None)
+
+    def test_single_terminal_reads_no_row(self, triangle):
+        csr = compile_csr(triangle)
+        assert kmb_steiner_tree_flat(csr, [1, 1], lambda t: None) == {1: {}}
 
 
 class TestValidation:

@@ -98,6 +98,36 @@ class TestRL001UncachedShortestPath:
         assert lint(self.CSR_TRIP, "src/repro/graph/csr.py") == []
         assert lint(self.CSR_TRIP, "src/repro/graph/spcache.py") == []
 
+    ROWS_TRIP = """
+        from repro.graph.csr import dijkstra_rows
+
+        def rows(csr, source):
+            return dijkstra_rows(csr, source)
+    """
+
+    def test_row_search_trips_outside_graph_modules(self):
+        findings = lint(self.ROWS_TRIP, "src/repro/core/foo.py")
+        assert rule_ids(findings) == ["RL001"]
+        assert "dijkstra_rows" in findings[0].message
+        via_reexport = """
+            from repro.graph import dijkstra_rows
+
+            def rows(csr, source):
+                return dijkstra_rows(csr, source)
+        """
+        assert rule_ids(lint(via_reexport, "src/repro/core/foo.py")) == ["RL001"]
+
+    def test_row_search_passes_inside_csr_and_spcache_modules(self):
+        assert lint(self.ROWS_TRIP, "src/repro/graph/csr.py") == []
+        assert lint(self.ROWS_TRIP, "src/repro/graph/spcache.py") == []
+
+    def test_cached_rows_pass(self):
+        clean = """
+            def rows(cache, source):
+                return cache.flat_tree(source)
+        """
+        assert lint(clean, "src/repro/core/foo.py") == []
+
     AUX_TRIP = """
         from repro.core.auxiliary import explicit_auxiliary_graph
 
