@@ -16,9 +16,9 @@ from repro import (
     generate_workload,
     rocketfuel_graph,
     rocketfuel_servers,
-    run_online_with_departures,
 )
 from repro.core import ExponentialCostModel
+from repro.stream import SequenceStream, StreamEngine
 from repro.workload import poisson_process
 
 REQUESTS = 400
@@ -26,22 +26,28 @@ ARRIVAL_RATE = 4.0  # requests per time unit
 MEAN_HOLDING = 400.0  # long-lived sessions: nearly all overlap
 
 
-def run(name, algorithm, events):
-    stats = run_online_with_departures(algorithm, events)
+def run(name, algorithm, stream):
+    engine = StreamEngine(algorithm, stream)
+    milestones = []
+    for _ in range(REQUESTS // 50):
+        milestones.append(engine.run(max_events=50).admitted)
+    stats = engine.run(drain=True)
+    network = algorithm.network
     print(f"{name}:")
     print(f"  admitted {stats.admitted}/{stats.processed} "
-          f"({stats.acceptance_ratio:.1%})")
-    if stats.reject_reasons:
+          f"({stats.admission_ratio:.1%})")
+    if stats.rejections:
         breakdown = ", ".join(
-            f"{reason.value}={count}"
+            f"{reason}={count}"
             for reason, count in sorted(
-                stats.reject_reasons.items(), key=lambda kv: -kv[1]
+                stats.rejections.items(), key=lambda kv: -kv[1]
             )
         )
         print(f"  rejections: {breakdown}")
-    print(f"  final link utilization:   {stats.final_link_utilization:.2%}")
-    print(f"  final server utilization: {stats.final_server_utilization:.2%}")
-    milestones = stats.admitted_timeline[49::50]
+    print(f"  final link utilization:   "
+          f"{network.mean_link_utilization():.2%}")
+    print(f"  final server utilization: "
+          f"{network.mean_server_utilization():.2%}")
     print(f"  admitted after every 50 arrivals: {milestones}\n")
     return stats
 
@@ -58,8 +64,6 @@ def make_sp(graph, servers):
 
 
 def main() -> None:
-    from repro.workload import one_by_one
-
     graph = rocketfuel_graph(1755).copy()
     servers = rocketfuel_servers(1755)
     requests = generate_workload(graph, REQUESTS, seed=17)
@@ -69,13 +73,12 @@ def main() -> None:
     )
 
     print("--- scenario 1: persistent sessions (nothing ever departs) ---\n")
-    persistent = one_by_one(requests)
     cp_stats = run(
         "Online_CP (exponential congestion pricing)",
-        make_cp(graph, servers), persistent,
+        make_cp(graph, servers), SequenceStream(requests),
     )
     sp_stats = run("SP (uniform link weights)", make_sp(graph, servers),
-                   persistent)
+                   SequenceStream(requests))
     print(
         f"Online_CP admitted {cp_stats.admitted - sp_stats.admitted:+d} "
         f"requests vs SP ({cp_stats.admitted} vs {sp_stats.admitted})\n"
@@ -88,9 +91,10 @@ def main() -> None:
     )
     cp_churn = run(
         "Online_CP (exponential congestion pricing)",
-        make_cp(graph, servers), churn,
+        make_cp(graph, servers), SequenceStream.from_events(churn),
     )
-    sp_churn = run("SP (uniform link weights)", make_sp(graph, servers), churn)
+    sp_churn = run("SP (uniform link weights)", make_sp(graph, servers),
+                   SequenceStream.from_events(churn))
     print(
         f"with churn: Online_CP {cp_churn.admitted} vs SP "
         f"{sp_churn.admitted} — departures relieve pressure, so the gap "

@@ -45,8 +45,6 @@ from repro.network import Controller, SDNetwork, VMRegistry, build_sdn
 from repro.nfv import FunctionType, ServiceChain
 from repro.simulation import (
     run_offline,
-    run_online,
-    run_online_with_departures,
     run_sequential_capacitated,
 )
 from repro.topology import (
@@ -104,8 +102,6 @@ __all__ = [
     "WorkloadConfig",
     "generate_workload",
     "run_offline",
-    "run_online",
-    "run_online_with_departures",
     "run_sequential_capacitated",
     # errors
     "ReproError",

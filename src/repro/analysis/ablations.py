@@ -17,6 +17,7 @@ Four studies, each isolating one knob:
 
 from __future__ import annotations
 
+import time
 from typing import Callable, List, Tuple
 
 from repro.analysis.common import build_random_network, make_requests
@@ -32,7 +33,9 @@ from repro.core import (
     optimal_auxiliary_cost,
 )
 from repro.network.sdn import build_sdn
-from repro.simulation import parallel_map, run_offline, run_online
+from repro.simulation import parallel_map, run_offline
+from repro.stream.engine import StreamEngine
+from repro.stream.workloads import SequenceStream
 from repro.topology.random_graphs import gt_itm_flat
 
 
@@ -116,7 +119,9 @@ def _ablate_cost_model_point(
     for _, make_model in _cost_model_variants():
         network = build_sdn(graph, seed=seed)
         algorithm = OnlineCP(network, cost_model=make_model())
-        stats = run_online(algorithm, requests)
+        stats = StreamEngine(
+            algorithm, SequenceStream(requests), clock=time.perf_counter
+        ).run()
         admitted.append(float(stats.admitted))
     return tuple(admitted)
 
@@ -176,7 +181,11 @@ def _ablate_thresholds_point(
     admitted = []
     for _, make_algorithm in _threshold_variants():
         network = build_sdn(graph, seed=seed)
-        stats = run_online(make_algorithm(network), requests)
+        stats = StreamEngine(
+            make_algorithm(network),
+            SequenceStream(requests),
+            clock=time.perf_counter,
+        ).run()
         admitted.append(float(stats.admitted))
     return tuple(admitted)
 
@@ -273,7 +282,11 @@ def _ablate_online_k_point(
     admitted = []
     for _, make_algorithm in _online_k_variants():
         network = build_sdn(graph, seed=seed)
-        stats = run_online(make_algorithm(network), requests)
+        stats = StreamEngine(
+            make_algorithm(network),
+            SequenceStream(requests),
+            clock=time.perf_counter,
+        ).run()
         admitted.append(float(stats.admitted))
     return tuple(admitted)
 

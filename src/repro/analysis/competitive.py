@@ -19,6 +19,7 @@ far above the worst-case bound.
 
 from __future__ import annotations
 
+import time
 from typing import List, Sequence
 
 from repro.analysis.common import (
@@ -32,7 +33,8 @@ from repro.analysis.series import FigureResult
 from repro.core import appro_multi_cap, try_allocate
 from repro.exceptions import InfeasibleRequestError
 from repro.network.sdn import SDNetwork
-from repro.simulation import run_online
+from repro.stream.engine import StreamEngine
+from repro.stream.workloads import SequenceStream
 from repro.workload.request import MulticastRequest
 
 
@@ -86,12 +88,16 @@ def run_competitive(profile: ExperimentProfile) -> List[FigureResult]:
         requests = make_requests(
             graph, profile.online_requests, None, seed + 1
         )
-        cp_stats = run_online(
-            calibrated_online_cp(build_random_network(size, seed)), requests
-        )
-        sp_stats = run_online(
-            make_sp_online(build_random_network(size, seed)), requests
-        )
+        cp_stats = StreamEngine(
+            calibrated_online_cp(build_random_network(size, seed)),
+            SequenceStream(requests),
+            clock=time.perf_counter,
+        ).run()
+        sp_stats = StreamEngine(
+            make_sp_online(build_random_network(size, seed)),
+            SequenceStream(requests),
+            clock=time.perf_counter,
+        ).run()
         oracle = offline_oracle_admissions(
             build_random_network(size, seed), requests
         )

@@ -9,6 +9,7 @@ is the statistically honest version of "Online_CP outperforms SP".
 
 from __future__ import annotations
 
+import time
 from typing import Dict, List
 
 from repro.analysis.common import (
@@ -20,7 +21,8 @@ from repro.analysis.common import (
 from repro.analysis.profiles import ExperimentProfile
 from repro.analysis.series import FigureResult
 from repro.analysis.stats import curves_with_confidence
-from repro.simulation import run_online
+from repro.stream.engine import StreamEngine
+from repro.stream.workloads import SequenceStream
 
 #: Workload seeds per data point (3 keeps the driver affordable).
 DEFAULT_SEED_COUNT = 3
@@ -39,12 +41,16 @@ def run_fig8_ci(
         requests = make_requests(
             graph, profile.online_requests, None, base + 1
         )
-        cp_stats = run_online(
-            calibrated_online_cp(build_random_network(size, base)), requests
-        )
-        sp_stats = run_online(
-            make_sp_online(build_random_network(size, base)), requests
-        )
+        cp_stats = StreamEngine(
+            calibrated_online_cp(build_random_network(size, base)),
+            SequenceStream(requests),
+            clock=time.perf_counter,
+        ).run()
+        sp_stats = StreamEngine(
+            make_sp_online(build_random_network(size, base)),
+            SequenceStream(requests),
+            clock=time.perf_counter,
+        ).run()
         return {
             "Online_CP": float(cp_stats.admitted),
             "SP": float(sp_stats.admitted),

@@ -9,6 +9,7 @@ destinations, i.e. hungrier trees).
 
 from __future__ import annotations
 
+import time
 from typing import List, Tuple
 
 from repro.analysis.common import (
@@ -19,7 +20,9 @@ from repro.analysis.common import (
 )
 from repro.analysis.profiles import ExperimentProfile
 from repro.analysis.series import FigureResult
-from repro.simulation import parallel_map, run_online
+from repro.simulation import parallel_map
+from repro.stream.engine import StreamEngine
+from repro.stream.workloads import SequenceStream
 
 
 def _fig8_point(
@@ -31,17 +34,21 @@ def _fig8_point(
     requests = make_requests(
         graph, profile.online_requests, None, seed + 1
     )
-    cp_stats = run_online(
-        calibrated_online_cp(build_random_network(size, seed)), requests
+    cp = StreamEngine(
+        calibrated_online_cp(build_random_network(size, seed)),
+        SequenceStream(requests),
+        clock=time.perf_counter,
     )
-    sp_stats = run_online(
-        make_sp_online(build_random_network(size, seed)), requests
+    sp = StreamEngine(
+        make_sp_online(build_random_network(size, seed)),
+        SequenceStream(requests),
+        clock=time.perf_counter,
     )
     return (
-        float(cp_stats.admitted),
-        float(sp_stats.admitted),
-        cp_stats.total_runtime,
-        sp_stats.total_runtime,
+        float(cp.run().admitted),
+        float(sp.run().admitted),
+        cp.decision_seconds,
+        sp.decision_seconds,
     )
 
 

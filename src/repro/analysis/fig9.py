@@ -10,6 +10,7 @@ out.
 
 from __future__ import annotations
 
+import time
 from typing import List, Sequence, Tuple
 
 from repro.analysis.common import (
@@ -20,7 +21,9 @@ from repro.analysis.common import (
 )
 from repro.analysis.profiles import ExperimentProfile
 from repro.analysis.series import FigureResult
-from repro.simulation import parallel_map, run_online
+from repro.simulation import parallel_map
+from repro.stream.engine import StreamEngine
+from repro.stream.workloads import SequenceStream
 
 FIG9_TOPOLOGIES = ("GEANT", "AS1755")
 
@@ -38,12 +41,16 @@ def _fig9_point(
     seed = profile.seed_for("fig9", name)
     graph = build_real_network(name, seed).graph
     prefix = make_requests(graph, longest, None, seed + 1)[:count]
-    cp_stats = run_online(
-        calibrated_online_cp(build_real_network(name, seed)), prefix
-    )
-    sp_stats = run_online(
-        make_sp_online(build_real_network(name, seed)), prefix
-    )
+    cp_stats = StreamEngine(
+        calibrated_online_cp(build_real_network(name, seed)),
+        SequenceStream(prefix),
+        clock=time.perf_counter,
+    ).run()
+    sp_stats = StreamEngine(
+        make_sp_online(build_real_network(name, seed)),
+        SequenceStream(prefix),
+        clock=time.perf_counter,
+    ).run()
     return (float(cp_stats.admitted), float(sp_stats.admitted))
 
 

@@ -20,6 +20,7 @@ disruption ratio ordering is ``graft ≤ readmit < drop``.
 
 from __future__ import annotations
 
+import time
 from typing import Dict, List, Tuple
 
 from repro.analysis.common import build_real_network, calibrated_online_cp
@@ -28,8 +29,10 @@ from repro.analysis.series import FigureResult
 from repro.network.controller import Controller
 from repro.resilience.events import exponential_failures, horizon_of
 from repro.resilience.repair import STRATEGIES, strategy_by_name
-from repro.simulation import parallel_map, run_online_with_failures
-from repro.workload.arrivals import interleave, poisson_process
+from repro.simulation import parallel_map
+from repro.stream.engine import StreamEngine
+from repro.stream.workloads import SequenceStream
+from repro.workload.arrivals import poisson_process
 from repro.workload.generator import generate_workload
 
 #: The topology the failure study runs on.
@@ -50,7 +53,7 @@ MTTR_FACTOR = 0.04
 
 
 def _scenario(profile: ExperimentProfile):
-    """The shared workload + failure trace every strategy replays."""
+    """The shared arrivals + failure schedule every strategy replays."""
     seed = profile.seed_for("resilience", TOPOLOGY)
     network = build_real_network(TOPOLOGY, seed)
     requests = generate_workload(
@@ -70,29 +73,34 @@ def _scenario(profile: ExperimentProfile):
         servers=False,
         fraction=LINK_FRACTION,
     )
-    return network, interleave(workload, failures)
+    return network, SequenceStream.from_events(workload), failures
 
 
 def _resilience_point(
     profile: ExperimentProfile, strategy_name: str
 ) -> Dict[str, float]:
     """Run one repair strategy over the shared scenario."""
-    network, events = _scenario(profile)
-    algorithm = calibrated_online_cp(network)
-    controller = Controller()
-    stats = run_online_with_failures(
-        algorithm,
-        events,
-        controller=controller,
+    network, arrivals, failures = _scenario(profile)
+    engine = StreamEngine(
+        calibrated_online_cp(network),
+        arrivals,
+        controller=Controller(),
+        failures=failures,
         strategy=strategy_by_name(strategy_name),
+        clock=time.perf_counter,
     )
+    admitted = engine.run(drain=True).admitted
+    stats = engine.failure_stats
+    assert stats is not None
     return {
-        "admitted": float(stats.admitted),
+        "admitted": float(admitted),
         "failures": float(stats.failures),
         "broken": float(stats.broken_requests),
         "dropped": float(stats.dropped_by_failure),
         "repaired": float(stats.repaired),
-        "disruption_ratio": stats.disruption_ratio,
+        "disruption_ratio": (
+            stats.dropped_by_failure / admitted if admitted else 0.0
+        ),
         "mean_repair_cost": stats.mean_repair_cost,
         "total_repair_cost": float(sum(stats.repair_costs)),
         "destination_downtime": stats.destination_downtime,

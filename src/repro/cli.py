@@ -270,8 +270,8 @@ def _run_demo(size: int, seed: int) -> None:
         build_sdn,
         generate_workload,
         gt_itm_flat,
-        run_online,
     )
+    from repro.stream import SequenceStream, StreamEngine
 
     graph = gt_itm_flat(size, seed=seed)
     network = build_sdn(graph, seed=seed)
@@ -289,8 +289,12 @@ def _run_demo(size: int, seed: int) -> None:
     )
 
     requests = generate_workload(graph, count=100, seed=seed + 1)
-    cp_stats = run_online(OnlineCP(build_sdn(graph, seed=seed)), requests)
-    sp_stats = run_online(SPOnline(build_sdn(graph, seed=seed)), requests)
+    cp_stats = StreamEngine(
+        OnlineCP(build_sdn(graph, seed=seed)), SequenceStream(requests)
+    ).run()
+    sp_stats = StreamEngine(
+        SPOnline(build_sdn(graph, seed=seed)), SequenceStream(requests)
+    ).run()
     print(
         f"online over {len(requests)} requests: "
         f"Online_CP admitted {cp_stats.admitted}, "
@@ -315,11 +319,11 @@ class _DashboardSink:
 
 
 def _run_stream_engine(args) -> int:
-    """``repro stream --workload …``: the StreamEngine pipeline.
+    """``repro stream --workload …``: a generated-stream engine run.
 
     Generated arrival streams (no materialized request list), optional
-    periodic checkpoints, kill-and-resume, and sharded execution.  The
-    plain ``repro stream`` replay path is untouched.
+    periodic checkpoints, kill-and-resume, and sharded execution.  These
+    runs are clock-free, so their histograms compare bit for bit.
     """
     from repro import obs
     from repro.stream import (
@@ -441,7 +445,7 @@ def _run_stream_engine(args) -> int:
 
 
 def _run_stream(args) -> int:
-    """``repro stream``: an emitter-instrumented online run."""
+    """``repro stream``: an emitter-instrumented figure-list replay."""
     if (
         args.workload is not None
         or args.resume is not None
@@ -450,13 +454,15 @@ def _run_stream(args) -> int:
     ):
         return _run_stream_engine(args)
 
+    import time
+
     from repro import obs
     from repro.analysis.common import (
         build_real_network,
         calibrated_online_cp,
         make_requests,
     )
-    from repro.simulation.engine import run_online
+    from repro.stream import SequenceStream, StreamEngine
 
     network = build_real_network(args.topology, args.seed)
     requests = make_requests(
@@ -479,7 +485,12 @@ def _run_stream(args) -> int:
             sinks=sinks,
             crash_dump_path=args.out + ".crash",
         ) as emitter:
-            stats = run_online(algorithm, requests, emitter=emitter)
+            stats = StreamEngine(
+                algorithm,
+                SequenceStream(requests),
+                emitter=emitter,
+                clock=time.perf_counter,
+            ).run()
     finally:
         if log is not None:
             obs.stop_trace()

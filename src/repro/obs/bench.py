@@ -218,7 +218,8 @@ def run_stream_benchmark(
         make_requests,
     )
     from repro.obs.emitter import JsonlSink, SnapshotEmitter
-    from repro.simulation.engine import run_online
+    from repro.stream.engine import StreamEngine
+    from repro.stream.workloads import SequenceStream
 
     if quick:
         requests = min(requests, 400)
@@ -237,7 +238,9 @@ def run_stream_benchmark(
         obs.disable()
         algorithm, batch = _arrivals()
         start = time.perf_counter()
-        stats = run_online(algorithm, batch)
+        stats = StreamEngine(
+            algorithm, SequenceStream(batch), clock=time.perf_counter
+        ).run()
         return time.perf_counter() - start, stats.admitted, None
 
     def _run_enabled():
@@ -251,7 +254,12 @@ def run_stream_benchmark(
                 every_requests=every, sinks=[JsonlSink(path)]
             )
             start = time.perf_counter()
-            stats = run_online(algorithm, batch, emitter=emitter)
+            stats = StreamEngine(
+                algorithm,
+                SequenceStream(batch),
+                emitter=emitter,
+                clock=time.perf_counter,
+            ).run()
             emitter.finish()
             elapsed = time.perf_counter() - start
         finally:

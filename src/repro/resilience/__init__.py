@@ -10,8 +10,8 @@ strategies for repairing the pseudo-multicast trees they break:
 - :mod:`repro.resilience.repair` — ``DropAffected`` / ``FullReadmit`` /
   ``SubtreeGraft`` repair strategies over the residual network.
 
-The simulation driver lives in
-:func:`repro.simulation.engine.run_online_with_failures`; the GEANT
+The simulation driver is :class:`repro.stream.engine.StreamEngine` (its
+``failures`` / ``strategy`` arguments); the GEANT
 experiment comparing the strategies is ``repro.analysis.resilience``
 (CLI: ``python -m repro.cli resilience``).  See ``docs/RESILIENCE.md``.
 """

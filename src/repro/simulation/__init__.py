@@ -1,15 +1,14 @@
-"""Simulation: workload replay engines and result metrics."""
+"""Simulation: offline replay drivers, run metrics, and the process pool.
+
+Online runs go through :class:`repro.stream.engine.StreamEngine`.
+"""
 
 from repro.simulation.engine import (
     run_offline,
-    run_online,
-    run_online_with_departures,
-    run_online_with_failures,
     run_sequential_capacitated,
 )
 from repro.simulation.metrics import (
     OfflineRunStats,
-    OnlineRunStats,
     ResilienceRunStats,
 )
 from repro.simulation.parallel import (
@@ -17,29 +16,13 @@ from repro.simulation.parallel import (
     parallel_map,
     set_default_workers,
 )
-from repro.simulation.trace import (
-    NULL_RECORDER,
-    NullTraceRecorder,
-    TraceEvent,
-    TraceRecorder,
-    record_online_run,
-)
 
 __all__ = [
     "run_offline",
-    "run_online",
-    "run_online_with_departures",
-    "run_online_with_failures",
     "run_sequential_capacitated",
     "default_workers",
     "parallel_map",
     "set_default_workers",
     "OfflineRunStats",
-    "OnlineRunStats",
     "ResilienceRunStats",
-    "NULL_RECORDER",
-    "NullTraceRecorder",
-    "TraceEvent",
-    "TraceRecorder",
-    "record_online_run",
 ]

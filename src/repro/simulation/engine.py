@@ -1,35 +1,28 @@
-"""Drivers that replay request workloads against solvers and networks.
+"""Drivers that replay request workloads offline against solvers.
 
-Three run shapes cover every figure in the paper:
+Two run shapes cover the paper's offline figures:
 
 - :func:`run_offline` — independent single-request solves on a fixed
   network (Figs. 5 and 6: the uncapacitated cost/runtime comparisons).
 - :func:`run_sequential_capacitated` — single-request solves that *commit*
   their resources before the next request arrives (Fig. 7:
   ``Appro_Multi_Cap`` under load).
-- :func:`run_online` — a true online run driving an
-  :class:`~repro.core.online_base.OnlineAlgorithm` (Figs. 8 and 9), with
-  optional departure events for churn experiments.
 
-The resilience extension adds :func:`run_online_with_failures`, which
-replays a merged arrival/departure/failure/recovery stream and hands every
-failure-broken request to a :class:`~repro.resilience.repair.RepairStrategy`.
-With an empty failure schedule it reproduces
-:func:`run_online_with_departures` exactly.
+Online runs (Figs. 8 and 9, churn, failures, generated streams) go
+through :class:`repro.stream.engine.StreamEngine`.
 """
 
 from __future__ import annotations
 
-# The engines read time.perf_counter() to *report* per-request solver
-# runtime as a figure metric (Figs. 6/8 running-time panels); the value is
+# The drivers read time.perf_counter() to *report* per-request solver
+# runtime as a figure metric (Figs. 5/6 running-time panels); the value is
 # never a control input, so determinism is unaffected.
 # repro-lint: disable-file=RL007
 
 import time
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.core.admission import try_allocate
-from repro.core.online_base import OnlineAlgorithm, OnlineDecision, RejectReason
 from repro.core.pseudo_tree import PseudoMulticastTree
 from repro.exceptions import InfeasibleRequestError
 from repro.network.controller import Controller, TableCapacityExceededError
@@ -43,60 +36,11 @@ from repro.obs import (
     inc as _obs_inc,
     request_scope as _obs_request,
     span as _obs_span,
-    trace_instant as _obs_instant,
 )
-from repro.obs.emitter import SnapshotEmitter
-from repro.resilience.events import FailureEvent, apply_event
-from repro.resilience.impact import (
-    affected_request_ids,
-    check_residual_consistency,
-    classify_impact,
-)
-from repro.resilience.repair import (
-    ActiveRequest,
-    DropAffected,
-    RepairContext,
-    RepairStrategy,
-)
-from repro.simulation.metrics import (
-    OfflineRunStats,
-    OnlineRunStats,
-    ResilienceRunStats,
-)
-from repro.workload.arrivals import EventKind, RequestEvent
+from repro.simulation.metrics import OfflineRunStats
 from repro.workload.request import MulticastRequest
 
 OfflineSolver = Callable[[SDNetwork, MulticastRequest], PseudoMulticastTree]
-
-
-def _install_admitted(
-    algorithm: OnlineAlgorithm,
-    controller: Controller,
-    decision: OnlineDecision,
-) -> bool:
-    """Program the data plane for an admitted decision.
-
-    If the controller rejects the tree (flow-table capacity), the admission
-    is *evicted*: resources are released and the decision is rewritten as a
-    rejection, modelling control-plane admission control.  Returns whether
-    installation succeeded.
-    """
-    assert decision.tree is not None
-    request = decision.request
-    try:
-        controller.install_tree(
-            request.request_id,
-            decision.tree.routing_hops(),
-            list(decision.tree.servers),
-        )
-        return True
-    except TableCapacityExceededError:
-        algorithm.depart(request.request_id)
-        decision.admitted = False
-        decision.reason = RejectReason.TABLE_CAPACITY
-        decision.tree = None
-        decision.transaction = None
-        return False
 
 
 def run_offline(
@@ -193,333 +137,3 @@ def run_sequential_capacitated(
             stats.servers_used.append(tree.num_servers)
     stats.telemetry = _obs_counters_since(before)
     return stats
-
-
-def run_online(
-    algorithm: OnlineAlgorithm,
-    requests: Iterable[MulticastRequest],
-    controller: Optional[Controller] = None,
-    emitter: Optional[SnapshotEmitter] = None,
-) -> OnlineRunStats:
-    """Drive an online algorithm over an arrival-only request iterable.
-
-    ``requests`` may be any iterable — a materialized list (the figure
-    replays) or a lazy generator (long streams); the sequence is consumed
-    exactly once, in order, and the resulting statistics are bit-identical
-    either way (locked by the list-vs-generator differential test).
-
-    With an ``emitter``, every processed request ticks it so delta
-    snapshots stream out at the emitter's cadence (the final flush stays
-    the caller's responsibility — typically ``emitter.finish()`` or the
-    emitter's context manager).
-    """
-    stats = OnlineRunStats()
-    network = algorithm.network
-    observing = _obs_enabled()
-    before = _obs_counters() if observing else None
-    started = time.perf_counter()
-    with _obs_span("run_online"):
-        for request in requests:
-            with _obs_request(request.request_id):
-                arrived = time.perf_counter()
-                decision = algorithm.process(request)
-                if decision.admitted and controller is not None:
-                    _install_admitted(algorithm, controller, decision)
-                if observing:
-                    _obs_hist(
-                        "engine.admission_seconds",
-                        time.perf_counter() - arrived,
-                    )
-                if decision.admitted:
-                    assert decision.tree is not None
-                    stats.admitted += 1
-                    cost = decision.tree.total_cost
-                    stats.operational_costs.append(cost)
-                    if observing:
-                        _obs_hist("engine.tree_cost", cost, _COST_BOUNDS)
-                    _obs_instant("engine.admit", cost=cost)
-                else:
-                    stats.rejected += 1
-                    stats.record_rejection(decision.reason)
-                    _obs_instant(
-                        "engine.reject",
-                        reason=decision.reason.value
-                        if decision.reason is not None
-                        else None,
-                    )
-                stats.admitted_timeline.append(stats.admitted)
-            if emitter is not None:
-                emitter.tick()
-    stats.total_runtime = time.perf_counter() - started
-    stats.final_link_utilization = network.mean_link_utilization()
-    stats.final_server_utilization = network.mean_server_utilization()
-    stats.telemetry = _obs_counters_since(before)
-    return stats
-
-
-def run_online_with_departures(
-    algorithm: OnlineAlgorithm,
-    events: Iterable[RequestEvent],
-    controller: Optional[Controller] = None,
-    emitter: Optional[SnapshotEmitter] = None,
-) -> OnlineRunStats:
-    """Drive an online algorithm over a timed arrival/departure iterable.
-
-    ``events`` may be a materialized list or a lazy generator; it is
-    consumed once, in order, with bit-identical results either way.
-    Departures release the resources of previously admitted requests;
-    departures of rejected requests are ignored (they hold nothing).
-    With an ``emitter``, every *arrival* ticks it (departures ride along
-    in whatever flush follows).
-    """
-    stats = OnlineRunStats()
-    network = algorithm.network
-    admitted_ids = set()
-    observing = _obs_enabled()
-    before = _obs_counters() if observing else None
-    started = time.perf_counter()
-    with _obs_span("run_online_with_departures"):
-        for event in events:
-            request = event.request
-            if event.kind is EventKind.ARRIVAL:
-                with _obs_request(request.request_id):
-                    arrived = time.perf_counter()
-                    decision = algorithm.process(request)
-                    if decision.admitted and controller is not None:
-                        _install_admitted(algorithm, controller, decision)
-                    if observing:
-                        _obs_hist(
-                            "engine.admission_seconds",
-                            time.perf_counter() - arrived,
-                        )
-                    if decision.admitted:
-                        assert decision.tree is not None
-                        admitted_ids.add(request.request_id)
-                        stats.admitted += 1
-                        cost = decision.tree.total_cost
-                        stats.operational_costs.append(cost)
-                        if observing:
-                            _obs_hist("engine.tree_cost", cost, _COST_BOUNDS)
-                        _obs_instant("engine.admit", cost=cost)
-                    else:
-                        stats.rejected += 1
-                        stats.record_rejection(decision.reason)
-                        _obs_instant(
-                            "engine.reject",
-                            reason=decision.reason.value
-                            if decision.reason is not None
-                            else None,
-                        )
-                    stats.admitted_timeline.append(stats.admitted)
-                if emitter is not None:
-                    emitter.tick()
-            else:
-                if request.request_id in admitted_ids:
-                    _obs_inc("engine.departures")
-                    with _obs_request(request.request_id):
-                        algorithm.depart(request.request_id)
-                        admitted_ids.discard(request.request_id)
-                        if controller is not None:
-                            controller.uninstall(request.request_id)
-                        _obs_instant("engine.depart")
-    stats.total_runtime = time.perf_counter() - started
-    stats.final_link_utilization = network.mean_link_utilization()
-    stats.final_server_utilization = network.mean_server_utilization()
-    stats.telemetry = _obs_counters_since(before)
-    return stats
-
-
-def _touches_failure(
-    active: ActiveRequest, down_links: set, down_servers: set
-) -> bool:
-    """Whether a live tree uses any currently failed link or server."""
-    if down_servers and any(s in down_servers for s in active.tree.servers):
-        return True
-    if not down_links:
-        return False
-    return any(key in down_links for key in active.tree.edge_usage())
-
-
-def run_online_with_failures(
-    algorithm: OnlineAlgorithm,
-    events: Iterable,
-    controller: Optional[Controller] = None,
-    strategy: Optional[RepairStrategy] = None,
-    audit: bool = False,
-    emitter: Optional[SnapshotEmitter] = None,
-) -> ResilienceRunStats:
-    """Drive an online algorithm through arrivals, departures, and failures.
-
-    ``events`` is a merged, time-ordered stream (see
-    :func:`repro.workload.arrivals.interleave`) of
-    :class:`~repro.workload.arrivals.RequestEvent` and
-    :class:`~repro.resilience.events.FailureEvent` records.  Arrivals and
-    departures behave exactly as in :func:`run_online_with_departures`; a
-    failure additionally walks the installed requests it breaks (through
-    the controller's flow-rule records when a controller is attached) and
-    hands each to ``strategy``, which repairs it or drops it.  Recoveries
-    restore capacity for future admissions and repairs but never
-    re-admit a previously dropped request.
-
-    Args:
-        algorithm: the online admission algorithm under test.
-        events: the merged event stream.
-        controller: optional data plane; required for flow-rule-level
-            impact matching (without it, trees are matched directly).
-        strategy: the repair strategy for broken requests (defaults to the
-            :class:`~repro.resilience.repair.DropAffected` baseline).
-        audit: when set, re-check the network/controller residual-
-            consistency invariants after every event (tests; slow).
-
-    Returns:
-        :class:`ResilienceRunStats` — admission fields identical in
-        meaning to :func:`run_online_with_departures`, plus failure,
-        repair, and downtime aggregates.
-    """
-    if strategy is None:
-        strategy = DropAffected()
-    stats = ResilienceRunStats()
-    network = algorithm.network
-    context = RepairContext(
-        network=network, controller=controller, algorithm=algorithm
-    )
-    active: dict = {}
-    #: request_id -> (drop time, destination count) for downtime accounting
-    dropped: dict = {}
-    horizon = 0.0
-    observing = _obs_enabled()
-    before = _obs_counters() if observing else None
-    started = time.perf_counter()
-    with _obs_span("run_online_with_failures"):
-        for event in events:
-            horizon = max(horizon, event.time)
-            if isinstance(event, FailureEvent):
-                _handle_failure_event(
-                    event, context, strategy, active, dropped, stats
-                )
-            elif event.kind is EventKind.ARRIVAL:
-                request = event.request
-                with _obs_request(request.request_id):
-                    arrived = time.perf_counter()
-                    decision = algorithm.process(request)
-                    if decision.admitted and controller is not None:
-                        _install_admitted(algorithm, controller, decision)
-                    if observing:
-                        _obs_hist(
-                            "engine.admission_seconds",
-                            time.perf_counter() - arrived,
-                        )
-                    if decision.admitted:
-                        assert decision.tree is not None
-                        assert decision.transaction is not None
-                        active[request.request_id] = ActiveRequest(
-                            request=request,
-                            tree=decision.tree,
-                            transaction=decision.transaction,
-                            via_algorithm=True,
-                        )
-                        stats.admitted += 1
-                        cost = decision.tree.total_cost
-                        stats.operational_costs.append(cost)
-                        if observing:
-                            _obs_hist("engine.tree_cost", cost, _COST_BOUNDS)
-                        _obs_instant("engine.admit", cost=cost)
-                    else:
-                        stats.rejected += 1
-                        stats.record_rejection(decision.reason)
-                        _obs_instant(
-                            "engine.reject",
-                            reason=decision.reason.value
-                            if decision.reason is not None
-                            else None,
-                        )
-                    stats.admitted_timeline.append(stats.admitted)
-                if emitter is not None:
-                    emitter.tick()
-            else:
-                request = event.request
-                record = active.pop(request.request_id, None)
-                if record is not None:
-                    _obs_inc("engine.departures")
-                    if record.via_algorithm:
-                        algorithm.depart(request.request_id)
-                    else:
-                        record.transaction.release_all()
-                    if controller is not None:
-                        controller.uninstall(request.request_id)
-                elif request.request_id in dropped:
-                    # the request would have departed now; its downtime ends
-                    drop_time, destinations = dropped.pop(request.request_id)
-                    stats.destination_downtime += destinations * (
-                        event.time - drop_time
-                    )
-            if audit and controller is not None:
-                check_residual_consistency(
-                    network, controller, [a.tree for a in active.values()]
-                )
-    # requests dropped and never departing are down until the run's horizon
-    for drop_time, destinations in dropped.values():
-        stats.destination_downtime += destinations * (horizon - drop_time)
-    stats.total_runtime = time.perf_counter() - started
-    stats.final_link_utilization = network.mean_link_utilization()
-    stats.final_server_utilization = network.mean_server_utilization()
-    stats.telemetry = _obs_counters_since(before)
-    return stats
-
-
-def _handle_failure_event(
-    event: FailureEvent,
-    context: RepairContext,
-    strategy: RepairStrategy,
-    active: dict,
-    dropped: dict,
-    stats: ResilienceRunStats,
-) -> None:
-    """Apply one failure/recovery and repair the requests it breaks."""
-    network = context.network
-    changed = apply_event(network, event)
-    if event.up:
-        if changed:
-            stats.recoveries += 1
-            _obs_inc("engine.recoveries")
-        return
-    if not changed:
-        return
-    stats.failures += 1
-    _obs_inc("engine.failures")
-    with _obs_span("failure_repair"):
-        if context.controller is not None:
-            candidates = [
-                rid
-                for rid in affected_request_ids(context.controller, network)
-                if rid in active
-            ]
-        else:
-            down_links = set(network.failed_links())
-            down_servers = set(network.failed_servers())
-            candidates = [
-                rid
-                for rid, record in active.items()
-                if _touches_failure(record, down_links, down_servers)
-            ]
-        for rid in candidates:
-            impact = classify_impact(network, active[rid].tree)
-            if not impact.broken:
-                continue
-            stats.broken_requests += 1
-            _obs_inc("engine.broken_requests")
-            record = active.pop(rid)
-            with _obs_request(rid):
-                result = strategy.repair(context, record, impact)
-                _obs_instant(
-                    "engine.repair", action=result.action.value
-                )
-            stats.record_repair(result.action.value)
-            if result.active is not None:
-                active[rid] = result.active
-                stats.repair_costs.append(result.repair_cost)
-            else:
-                dropped[rid] = (
-                    event.time,
-                    len(record.request.destinations),
-                )

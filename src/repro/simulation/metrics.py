@@ -1,11 +1,9 @@
-"""Result records for offline and online experiment runs."""
+"""Result records for offline runs and for online runs with failures."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
-
-from repro.core.online_base import RejectReason
+from typing import Dict, List
 
 
 @dataclass
@@ -55,62 +53,13 @@ class OfflineRunStats:
 
 
 @dataclass
-class OnlineRunStats:
-    """Aggregates for one online admission run (Figs. 8–9).
+class ResilienceRunStats:
+    """Failure-side aggregates of an online run with a failure schedule.
 
-    Attributes:
-        admitted: number of admitted requests (the throughput objective).
-        rejected: number of rejected requests.
-        reject_reasons: histogram of rejection causes.
-        operational_costs: cost of each admitted tree.
-        admitted_timeline: cumulative admitted count after each arrival
-            (drives the figures' x-axis sweeps).
-        total_runtime: wall-clock seconds spent deciding.
-        final_link_utilization: mean link utilization at the end of the run.
-        final_server_utilization: mean server utilization at the end.
-        telemetry: counter deltas accumulated during this run (empty when
-            :mod:`repro.obs` recording is disabled).
-    """
-
-    admitted: int = 0
-    rejected: int = 0
-    reject_reasons: Dict[RejectReason, int] = field(default_factory=dict)
-    operational_costs: List[float] = field(default_factory=list)
-    admitted_timeline: List[int] = field(default_factory=list)
-    total_runtime: float = 0.0
-    final_link_utilization: float = 0.0
-    final_server_utilization: float = 0.0
-    telemetry: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def processed(self) -> int:
-        """Total requests considered."""
-        return self.admitted + self.rejected
-
-    @property
-    def acceptance_ratio(self) -> float:
-        """Fraction of requests admitted (0 when nothing processed)."""
-        return self.admitted / self.processed if self.processed else 0.0
-
-    @property
-    def total_operational_cost(self) -> float:
-        """Sum of admitted trees' operational costs."""
-        return sum(self.operational_costs)
-
-    def record_rejection(self, reason: Optional[RejectReason]) -> None:
-        """Bump the histogram for one rejection."""
-        if reason is not None:
-            self.reject_reasons[reason] = self.reject_reasons.get(reason, 0) + 1
-
-
-@dataclass
-class ResilienceRunStats(OnlineRunStats):
-    """Aggregates for an online run with failure injection and repair.
-
-    Extends :class:`OnlineRunStats` (the admission-side fields keep their
-    exact semantics, so a failure-free run is directly comparable to a
-    :func:`~repro.simulation.engine.run_online_with_departures` run) with
-    the resilience measurements the experiment reports.
+    :class:`~repro.stream.engine.StreamEngine` fills one as
+    ``engine.failure_stats`` when it is given a failure schedule; the
+    admission side (admitted, rejected, digest) stays in its
+    :class:`~repro.stream.engine.StreamStats`.
 
     Attributes:
         failures: failure events that actually took an element down.
@@ -151,11 +100,6 @@ class ResilienceRunStats(OnlineRunStats):
         return self.repairs.get("grafted", 0) + self.repairs.get(
             "readmitted", 0
         )
-
-    @property
-    def disruption_ratio(self) -> float:
-        """Fraction of admitted requests that lost service to a failure."""
-        return self.dropped_by_failure / self.admitted if self.admitted else 0.0
 
     @property
     def mean_repair_cost(self) -> float:

@@ -181,6 +181,14 @@ def _decode_active(data: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
+def _require_failure_free(engine: StreamEngine) -> None:
+    if engine.failure_stats is not None:
+        raise CheckpointError(
+            f"{FORMAT} v{VERSION} has no failure state: an engine with a "
+            "failure schedule (or audit) cannot be checkpointed or restored"
+        )
+
+
 # ----------------------------------------------------------------------
 # capture
 # ----------------------------------------------------------------------
@@ -193,7 +201,13 @@ def capture(
     seeds, algorithm parameters) — the checkpoint layer stores it
     verbatim and :func:`restore_into` never reads it; the CLI uses it to
     reconstruct the engine before restoring.
+
+    Raises:
+        CheckpointError: for an engine with a failure schedule — format
+            v1 records no failure state (down elements' pending
+            recoveries, dropped requests, repaired trees).
     """
+    _require_failure_free(engine)
     network = engine.algorithm.network
     links = [
         [
@@ -301,6 +315,7 @@ def restore_into(engine: StreamEngine, document: Dict[str, Any]) -> None:
     call the engine's next ``run()`` continues the original decision
     sequence bit-for-bit.
     """
+    _require_failure_free(engine)
     if engine.stats.processed:
         raise CheckpointError(
             "restore target must be a fresh engine (it has already "

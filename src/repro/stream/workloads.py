@@ -28,7 +28,10 @@ Families:
 - :class:`SequenceStream` / :class:`FigureStream` — adapters exposing a
   materialized request list or a :class:`~repro.workload.generator.
   RequestGenerator` as the paper's one-by-one adversarial model
-  (unit-spaced arrivals, no departures).
+  (unit-spaced arrivals, no departures);
+  :meth:`SequenceStream.from_events` does the same for a timed
+  arrival/departure list such as
+  :func:`~repro.workload.arrivals.poisson_process` output.
 - :class:`ParetoGroupGenerator` — a request generator whose multicast
   group sizes are heavy-tailed (bounded Pareto) instead of uniform.
 """
@@ -39,11 +42,12 @@ import math
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.exceptions import RequestError
 from repro.graph.graph import Graph
 from repro.nfv.service_chain import random_service_chain
+from repro.workload.arrivals import EventKind, RequestEvent, require_positive
 from repro.workload.generator import RequestGenerator, WorkloadConfig
 from repro.workload.request import MulticastRequest
 
@@ -166,10 +170,8 @@ class PoissonStream(ArrivalStream):
         limit: Optional[int] = None,
     ) -> None:
         super().__init__(limit)
-        if arrival_rate <= 0:
-            raise RequestError(f"arrival_rate must be positive: {arrival_rate}")
-        if mean_holding <= 0:
-            raise RequestError(f"mean_holding must be positive: {mean_holding}")
+        require_positive("arrival_rate", arrival_rate)
+        require_positive("mean_holding", mean_holding)
         self.generator = generator
         self.arrival_rate = arrival_rate
         self.mean_holding = mean_holding
@@ -210,8 +212,7 @@ class _ThinnedStream(ArrivalStream):
         limit: Optional[int],
     ) -> None:
         super().__init__(limit)
-        if mean_holding <= 0:
-            raise RequestError(f"mean_holding must be positive: {mean_holding}")
+        require_positive("mean_holding", mean_holding)
         self.generator = generator
         self.mean_holding = mean_holding
         self._timing = random.Random(seed)
@@ -268,13 +269,13 @@ class DiurnalStream(_ThinnedStream):
         limit: Optional[int] = None,
     ) -> None:
         super().__init__(generator, mean_holding, seed, limit)
-        if not 0 < base_rate <= peak_rate:
+        require_positive("base_rate", base_rate)
+        require_positive("peak_rate", peak_rate)
+        require_positive("period", period)
+        if base_rate > peak_rate:
             raise RequestError(
-                f"need 0 < base_rate <= peak_rate, got "
-                f"({base_rate}, {peak_rate})"
+                f"need base_rate <= peak_rate, got ({base_rate}, {peak_rate})"
             )
-        if period <= 0:
-            raise RequestError(f"period must be positive: {period}")
         self.base_rate = base_rate
         self.peak_rate = peak_rate
         self.period = period
@@ -313,18 +314,20 @@ class FlashCrowdStream(_ThinnedStream):
         limit: Optional[int] = None,
     ) -> None:
         super().__init__(generator, mean_holding, seed, limit)
-        if base_rate <= 0:
-            raise RequestError(f"base_rate must be positive: {base_rate}")
+        require_positive("base_rate", base_rate)
+        require_positive("multiplier", multiplier)
+        require_positive("episode_interval", episode_interval)
+        require_positive("episode_duration", episode_duration)
         if multiplier < 1.0:
             raise RequestError(f"multiplier must be >= 1, got {multiplier}")
-        if not 0 < episode_duration <= episode_interval:
+        if episode_duration > episode_interval:
             raise RequestError(
-                f"need 0 < episode_duration <= episode_interval, got "
+                f"need episode_duration <= episode_interval, got "
                 f"({episode_duration}, {episode_interval})"
             )
-        if first_episode < 0:
+        if not 0 <= first_episode < math.inf:
             raise RequestError(
-                f"first_episode must be >= 0, got {first_episode}"
+                f"first_episode must be finite and >= 0, got {first_episode}"
             )
         self.base_rate = base_rate
         self.multiplier = multiplier
@@ -351,9 +354,12 @@ class FlashCrowdStream(_ThinnedStream):
 class SequenceStream(ArrivalStream):
     """A materialized request list as a stream (the paper's model).
 
-    Arrivals are unit-spaced and never depart; drawing state is just an
-    index, so checkpoint/restore works as long as the resuming process
-    rebuilds the same list (same generator seed / figure series).
+    Arrivals are ``spacing`` apart and depart after ``holding_time``
+    (``None``, the default, means never); :meth:`from_events` instead
+    takes each request's arrival and holding time from a timed
+    arrival/departure list.  Drawing state is just an index, so
+    checkpoint/restore works as long as the resuming process rebuilds the
+    same list (same generator seed / figure series).
     """
 
     def __init__(
@@ -363,20 +369,54 @@ class SequenceStream(ArrivalStream):
         holding_time: Optional[float] = None,
     ) -> None:
         super().__init__(limit=len(requests))
-        if spacing <= 0:
-            raise RequestError(f"spacing must be positive: {spacing}")
+        require_positive("spacing", spacing)
+        if holding_time is not None:
+            require_positive("holding_time", holding_time)
         self._requests = list(requests)
         self.spacing = spacing
         self.holding_time = holding_time
+        #: Per-request ``(arrival time, holding time)``, set only by
+        #: :meth:`from_events`; ``None`` means evenly spaced arrivals.
+        self._timing: Optional[List[Tuple[float, Optional[float]]]] = None
+
+    @classmethod
+    def from_events(cls, events: Iterable[RequestEvent]) -> "SequenceStream":
+        """The arrivals of a timed arrival/departure list, as a stream.
+
+        Each arrival keeps its time; a request's departure event becomes
+        its holding time, ``departure - arrival``, which adds back to the
+        exact departure instant (``a + ((a + h) - a) == a + h`` in IEEE
+        round-to-nearest).  A request without a departure never departs.
+        """
+        events = list(events)
+        departures = {
+            event.request.request_id: event.time
+            for event in events
+            if event.kind is EventKind.DEPARTURE
+        }
+        arrivals = [
+            event for event in events if event.kind is EventKind.ARRIVAL
+        ]
+        stream = cls([event.request for event in arrivals])
+        timing: List[Tuple[float, Optional[float]]] = []
+        for event in arrivals:
+            departs = departures.get(event.request.request_id)
+            timing.append(
+                (event.time, None if departs is None else departs - event.time)
+            )
+        stream._timing = timing
+        return stream
 
     def _draw(self) -> Optional[Arrival]:
-        if self.produced >= len(self._requests):
+        index = self.produced
+        if index >= len(self._requests):
             return None
-        return Arrival(
-            self.produced * self.spacing,
-            self._requests[self.produced],
-            self.holding_time,
-        )
+        if self._timing is None:
+            return Arrival(
+                index * self.spacing, self._requests[index], self.holding_time
+            )
+        time, holding = self._timing[index]
+        return Arrival(time, self._requests[index], holding)
 
 
 class FigureStream(ArrivalStream):
@@ -397,12 +437,9 @@ class FigureStream(ArrivalStream):
         holding_time: Optional[float] = None,
     ) -> None:
         super().__init__(limit)
-        if spacing <= 0:
-            raise RequestError(f"spacing must be positive: {spacing}")
-        if holding_time is not None and holding_time <= 0:
-            raise RequestError(
-                f"holding_time must be positive: {holding_time}"
-            )
+        require_positive("spacing", spacing)
+        if holding_time is not None:
+            require_positive("holding_time", holding_time)
         self.generator = generator
         self.spacing = spacing
         self.holding_time = holding_time
@@ -434,8 +471,7 @@ def bounded_pareto(
     clamped to the bounds.  Small ``alpha`` (≈1) gives a heavy tail —
     most draws near ``low`` with occasional draws near ``high``.
     """
-    if alpha <= 0:
-        raise RequestError(f"alpha must be positive: {alpha}")
+    require_positive("alpha", alpha)
     if not 1 <= low <= high:
         raise RequestError(f"need 1 <= low <= high, got ({low}, {high})")
     if low == high:
@@ -475,8 +511,7 @@ class ParetoGroupGenerator(RequestGenerator):
                 f"need 1 <= min_group <= max_group <= |V|-1, got "
                 f"({min_group}, {max_group}, cap {cap})"
             )
-        if alpha <= 0:
-            raise RequestError(f"alpha must be positive: {alpha}")
+        require_positive("alpha", alpha)
         self.alpha = alpha
         self.min_group = min_group
         self.max_group = max_group

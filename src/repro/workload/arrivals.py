@@ -10,6 +10,7 @@ list of arrivals and departures that the simulation engine can replay.
 from __future__ import annotations
 
 import enum
+import math
 import random
 from dataclasses import dataclass
 from typing import List, Sequence
@@ -70,6 +71,22 @@ class RequestEvent:
         return (self.time, rank, event_tiebreak(self.request.request_id))
 
 
+def require_positive(name: str, value: float) -> float:
+    """Return ``value`` if it is a finite number above zero.
+
+    The one check every arrival-process parameter (rates, holding times,
+    spacings, periods, multipliers) goes through: a plain ``<= 0`` guard
+    lets NaN through, and NaN or infinite timing silently corrupts the
+    event order downstream.
+
+    Raises:
+        RequestError: for zero, negative, NaN, or infinite values.
+    """
+    if not (value > 0 and math.isfinite(value)):
+        raise RequestError(f"{name} must be finite and positive: {value!r}")
+    return value
+
+
 def one_by_one(requests: Sequence[MulticastRequest]) -> List[RequestEvent]:
     """The paper's model: unit-spaced arrivals, no departures."""
     return [
@@ -95,12 +112,8 @@ def poisson_process(
     Returns:
         The merged, time-sorted arrival + departure event list.
     """
-    if arrival_rate <= 0:
-        raise RequestError(f"arrival_rate must be positive: {arrival_rate}")
-    if mean_holding_time <= 0:
-        raise RequestError(
-            f"mean_holding_time must be positive: {mean_holding_time}"
-        )
+    require_positive("arrival_rate", arrival_rate)
+    require_positive("mean_holding_time", mean_holding_time)
     rng = random.Random(seed)
     events: List[RequestEvent] = []
     clock = 0.0

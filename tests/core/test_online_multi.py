@@ -13,7 +13,7 @@ from repro.core.online_base import RejectReason
 from repro.graph import Graph
 from repro.network import build_sdn
 from repro.nfv import FunctionType, ServiceChain
-from repro.simulation import run_online
+from repro.stream import SequenceStream, StreamEngine
 from repro.topology import gt_itm_flat
 from repro.workload import MulticastRequest, generate_workload
 
@@ -108,24 +108,26 @@ class TestAgainstOtherAlgorithms:
     def test_beats_sp_under_load(self, seed):
         graph = gt_itm_flat(50, seed=seed)
         requests = generate_workload(graph, 250, seed=seed + 1)
-        cpk = run_online(
+        cpk = StreamEngine(
             OnlineCPK(build_sdn(graph, seed=seed), 2, cost_model=soft_model()),
-            requests,
-        )
-        sp = run_online(SPOnline(build_sdn(graph, seed=seed)), requests)
+            SequenceStream(requests),
+        ).run()
+        sp = StreamEngine(
+            SPOnline(build_sdn(graph, seed=seed)), SequenceStream(requests)
+        ).run()
         assert cpk.admitted >= sp.admitted
 
     def test_comparable_to_online_cp(self):
         graph = gt_itm_flat(50, seed=9)
         requests = generate_workload(graph, 200, seed=10)
-        cpk = run_online(
+        cpk = StreamEngine(
             OnlineCPK(build_sdn(graph, seed=9), 1, cost_model=soft_model()),
-            requests,
-        )
-        cp = run_online(
+            SequenceStream(requests),
+        ).run()
+        cp = StreamEngine(
             OnlineCP(build_sdn(graph, seed=9), cost_model=soft_model()),
-            requests,
-        )
+            SequenceStream(requests),
+        ).run()
         # same pricing, slightly different candidate structures: stay close
         assert abs(cpk.admitted - cp.admitted) <= 0.15 * len(requests)
 
@@ -133,7 +135,10 @@ class TestAgainstOtherAlgorithms:
         graph = gt_itm_flat(40, seed=12)
         network = build_sdn(graph, seed=12)
         requests = generate_workload(graph, 250, seed=13)
-        run_online(OnlineCPK(network, 2, cost_model=soft_model()), requests)
+        StreamEngine(
+            OnlineCPK(network, 2, cost_model=soft_model()),
+            SequenceStream(requests),
+        ).run()
         for link in network.links():
             assert link.residual >= -1e-6
         for server in network.servers():

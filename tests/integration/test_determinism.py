@@ -12,7 +12,7 @@ import pytest
 from repro.analysis import ExperimentProfile, figure_to_dict, run_fig5
 from repro.core import OnlineCP, appro_multi
 from repro.network import build_sdn
-from repro.simulation import run_online
+from repro.stream import SequenceStream, StreamEngine
 from repro.topology import gt_itm_flat
 from repro.workload import generate_workload
 
@@ -45,8 +45,10 @@ class TestSolverDeterminism:
             graph = gt_itm_flat(35, seed=7)
             network = build_sdn(graph, seed=7)
             requests = generate_workload(graph, 40, seed=8)
-            stats = run_online(OnlineCP(network), requests)
-            return (stats.admitted, tuple(stats.admitted_timeline))
+            stats = StreamEngine(
+                OnlineCP(network), SequenceStream(requests)
+            ).run()
+            return (stats.admitted, stats.digest)
 
         assert run() == run()
 

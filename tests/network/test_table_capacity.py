@@ -5,7 +5,8 @@ import pytest
 from repro.core.online_base import RejectReason
 from repro.core import SPOnline
 from repro.network import Controller, TableCapacityExceededError, build_sdn
-from repro.simulation import run_online, run_sequential_capacitated
+from repro.simulation import run_sequential_capacitated
+from repro.stream import SequenceStream, StreamEngine
 from repro.topology import gt_itm_flat
 from repro.workload import generate_workload
 
@@ -59,8 +60,10 @@ class TestEngineIntegration:
     def test_tiny_tables_cause_evictions(self, setup):
         network, requests = setup
         controller = Controller(table_capacity=2)
-        stats = run_online(SPOnline(network), requests, controller=controller)
-        assert stats.reject_reasons.get(RejectReason.TABLE_CAPACITY, 0) > 0
+        stats = StreamEngine(
+            SPOnline(network), SequenceStream(requests), controller=controller
+        ).run()
+        assert stats.rejections.get(RejectReason.TABLE_CAPACITY.value, 0) > 0
         assert stats.admitted + stats.rejected == len(requests)
         # every installed request really has rules; every switch within cap
         assert len(controller.installed_requests) == stats.admitted
@@ -68,7 +71,9 @@ class TestEngineIntegration:
     def test_eviction_releases_resources(self, setup):
         network, requests = setup
         controller = Controller(table_capacity=1)
-        stats = run_online(SPOnline(network), requests, controller=controller)
+        stats = StreamEngine(
+            SPOnline(network), SequenceStream(requests), controller=controller
+        ).run()
         # the sum of admitted trees' reservations equals what's allocated:
         # evicted admissions must have released theirs
         admitted_ids = set(controller.installed_requests)
@@ -80,8 +85,10 @@ class TestEngineIntegration:
     def test_unlimited_controller_never_evicts(self, setup):
         network, requests = setup
         controller = Controller()
-        stats = run_online(SPOnline(network), requests, controller=controller)
-        assert RejectReason.TABLE_CAPACITY not in stats.reject_reasons
+        stats = StreamEngine(
+            SPOnline(network), SequenceStream(requests), controller=controller
+        ).run()
+        assert RejectReason.TABLE_CAPACITY.value not in stats.rejections
 
     def test_sequential_capacitated_respects_tables(self, setup):
         from repro.core import appro_multi_cap

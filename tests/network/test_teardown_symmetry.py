@@ -9,7 +9,7 @@ cycles), and the controller holds zero rules.
 
 from repro.core import OnlineCP
 from repro.network import Controller, build_sdn
-from repro.simulation import run_online_with_departures
+from repro.stream import SequenceStream, StreamEngine
 from repro.topology import gt_itm_flat
 from repro.workload import generate_workload, poisson_process
 
@@ -30,9 +30,11 @@ class TestTeardownSymmetry:
         requests = generate_workload(graph, 40, dmax_ratio=0.15, seed=18)
         events = poisson_process(requests, 3.0, 6.0, seed=19)
         controller = Controller()
-        stats = run_online_with_departures(
-            OnlineCP(network), events, controller=controller
-        )
+        stats = StreamEngine(
+            OnlineCP(network),
+            SequenceStream.from_events(events),
+            controller=controller,
+        ).run(drain=True)
         assert stats.admitted > 0  # the check must exercise real releases
         _assert_pristine(network, controller)
 
@@ -46,9 +48,11 @@ class TestTeardownSymmetry:
                 graph, 15, dmax_ratio=0.1, seed=100 + generation
             )
             events = poisson_process(requests, 4.0, 3.0, seed=generation)
-            run_online_with_departures(
-                OnlineCP(network), events, controller=controller
-            )
+            StreamEngine(
+                OnlineCP(network),
+                SequenceStream.from_events(events),
+                controller=controller,
+            ).run(drain=True)
             _assert_pristine(network, controller)
 
     def test_manual_uninstall_release_roundtrip(

@@ -15,9 +15,9 @@ from repro.core import OnlineCP, appro_multi
 from repro.network import build_sdn
 from repro.simulation import (
     run_offline,
-    run_online,
     set_default_workers,
 )
+from repro.stream import SequenceStream, StreamEngine
 from repro.topology import gt_itm_flat
 from repro.workload import generate_workload
 
@@ -166,11 +166,13 @@ class TestEngineTelemetry:
         graph = gt_itm_flat(25, seed=21)
         network = build_sdn(graph, seed=21)
         requests = generate_workload(graph, 10, dmax_ratio=0.15, seed=22)
-        stats = run_online(OnlineCP(network), requests)
-        assert stats.telemetry["online.decisions"] == 10.0
+        before = obs.counters()
+        StreamEngine(OnlineCP(network), SequenceStream(requests)).run()
+        telemetry = obs.counters_since(before)
+        assert telemetry["online.decisions"] == 10.0
         assert (
-            stats.telemetry.get("online.admitted", 0.0)
-            + stats.telemetry.get("online.rejected", 0.0)
+            telemetry.get("online.admitted", 0.0)
+            + telemetry.get("online.rejected", 0.0)
             == 10.0
         )
 

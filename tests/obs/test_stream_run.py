@@ -18,6 +18,7 @@ on its artifacts.
 """
 
 import json
+import time
 
 import pytest
 
@@ -31,7 +32,7 @@ from repro.obs.dashboard import DashboardState, render, watch
 from repro.obs.emitter import JsonlSink, SnapshotEmitter, sum_deltas
 from repro.obs.export import to_chrome_trace
 from repro.obs.tracing import start_trace, stop_trace
-from repro.simulation.engine import run_online
+from repro.stream import SequenceStream, StreamEngine
 
 REQUESTS = 10_000
 EVERY = 1_000
@@ -67,7 +68,12 @@ def stream_run(tmp_path_factory):
             ring_size=RING_SIZE,
             sinks=[JsonlSink(str(jsonl))],
         ) as emitter:
-            stats = run_online(algorithm, requests, emitter=emitter)
+            stats = StreamEngine(
+                algorithm,
+                SequenceStream(requests),
+                emitter=emitter,
+                clock=time.perf_counter,
+            ).run()
         payloads = [
             json.loads(line)
             for line in jsonl.read_text().strip().splitlines()

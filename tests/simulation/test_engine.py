@@ -1,18 +1,13 @@
-"""Unit tests for the simulation drivers."""
+"""Unit tests for the offline simulation drivers."""
 
 import pytest
 
-from repro.core import OnlineCP, SPOnline, appro_multi, appro_multi_cap
+from repro.core import appro_multi, appro_multi_cap
 from repro.exceptions import InfeasibleRequestError
 from repro.network import Controller, build_sdn
-from repro.simulation import (
-    run_offline,
-    run_online,
-    run_online_with_departures,
-    run_sequential_capacitated,
-)
+from repro.simulation import run_offline, run_sequential_capacitated
 from repro.topology import gt_itm_flat
-from repro.workload import generate_workload, one_by_one, poisson_process
+from repro.workload import generate_workload
 
 
 @pytest.fixture
@@ -81,113 +76,3 @@ class TestRunSequentialCapacitated:
         )
         assert len(controller.installed_requests) == stats.solved
         assert controller.total_rules() > 0
-
-
-class TestRunOnline:
-    def test_timeline_monotone(self, setup):
-        _, network, requests = setup
-        stats = run_online(SPOnline(network), requests)
-        assert len(stats.admitted_timeline) == len(requests)
-        assert stats.admitted_timeline == sorted(stats.admitted_timeline)
-        assert stats.admitted_timeline[-1] == stats.admitted
-        assert stats.processed == len(requests)
-
-    def test_utilization_recorded(self, setup):
-        _, network, requests = setup
-        stats = run_online(OnlineCP(network), requests)
-        assert 0.0 <= stats.final_link_utilization <= 1.0
-        assert 0.0 <= stats.final_server_utilization <= 1.0
-
-    def test_controller_tracks_admissions(self, setup):
-        _, network, requests = setup
-        controller = Controller()
-        stats = run_online(SPOnline(network), requests, controller=controller)
-        assert len(controller.installed_requests) == stats.admitted
-
-
-class TestRunOnlineWithDepartures:
-    def test_arrival_only_events_match_run_online(self, setup):
-        graph, _, requests = setup
-        network_a = build_sdn(graph, seed=13)
-        network_b = build_sdn(graph, seed=13)
-        plain = run_online(SPOnline(network_a), requests)
-        evented = run_online_with_departures(
-            SPOnline(network_b), one_by_one(requests)
-        )
-        assert plain.admitted == evented.admitted
-
-    def test_departures_free_capacity(self, setup):
-        graph, _, requests = setup
-        network = build_sdn(graph, seed=13)
-        events = poisson_process(
-            requests, arrival_rate=1.0, mean_holding_time=0.5, seed=9
-        )
-        controller = Controller()
-        stats = run_online_with_departures(
-            SPOnline(network), events, controller=controller
-        )
-        # every admitted request also departed (holding times are short and
-        # every departure event is after its arrival in the list)
-        assert stats.admitted > 0
-        assert controller.total_rules() == 0
-        for link in network.links():
-            assert link.residual == pytest.approx(link.capacity)
-
-    def test_departures_enable_more_admissions_under_pressure(self):
-        graph = gt_itm_flat(30, seed=21)
-        requests = generate_workload(graph, 250, dmax_ratio=0.2, seed=22)
-        static = run_online(SPOnline(build_sdn(graph, seed=21)), requests)
-        churn = run_online_with_departures(
-            SPOnline(build_sdn(graph, seed=21)),
-            poisson_process(requests, 5.0, 2.0, seed=23),
-        )
-        assert churn.admitted >= static.admitted
-
-
-class TestIterableInputs:
-    """The runners accept any iterable, with list-vs-generator identity."""
-
-    def test_run_online_list_vs_generator_bit_identity(self, setup):
-        graph, _, requests = setup
-        from_list = run_online(
-            SPOnline(build_sdn(graph, seed=13)), list(requests)
-        )
-        lazy = run_online(
-            SPOnline(build_sdn(graph, seed=13)),
-            (request for request in requests),
-        )
-        assert lazy.admitted == from_list.admitted
-        assert lazy.rejected == from_list.rejected
-        assert lazy.admitted_timeline == from_list.admitted_timeline
-        assert lazy.operational_costs == from_list.operational_costs
-        assert lazy.reject_reasons == from_list.reject_reasons
-
-    def test_run_online_with_departures_list_vs_generator(self, setup):
-        graph, _, requests = setup
-        events = poisson_process(
-            requests, arrival_rate=2.0, mean_holding_time=5.0, seed=3
-        )
-        network_a = build_sdn(graph, seed=13)
-        network_b = build_sdn(graph, seed=13)
-        from_list = run_online_with_departures(SPOnline(network_a), events)
-        lazy = run_online_with_departures(
-            SPOnline(network_b), iter(events)
-        )
-        assert lazy.admitted == from_list.admitted
-        assert lazy.rejected == from_list.rejected
-        assert lazy.admitted_timeline == from_list.admitted_timeline
-        assert lazy.operational_costs == from_list.operational_costs
-        assert network_b.snapshot() == network_a.snapshot()
-
-    def test_generator_is_consumed_exactly_once(self, setup):
-        graph, _, requests = setup
-        consumed = []
-
-        def feed():
-            for request in requests:
-                consumed.append(request.request_id)
-                yield request
-
-        stats = run_online(SPOnline(build_sdn(graph, seed=13)), feed())
-        assert consumed == [request.request_id for request in requests]
-        assert stats.admitted + stats.rejected == len(requests)

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.core.online_base import RejectReason
-from repro.simulation import OfflineRunStats, OnlineRunStats
+from repro.simulation import OfflineRunStats, ResilienceRunStats
 
 
 class TestOfflineRunStats:
@@ -28,27 +27,19 @@ class TestOfflineRunStats:
         assert stats.mean_servers_used == pytest.approx(2.0)
 
 
-class TestOnlineRunStats:
+class TestResilienceRunStats:
     def test_empty(self):
-        stats = OnlineRunStats()
-        assert stats.processed == 0
-        assert stats.acceptance_ratio == 0.0
-        assert stats.total_operational_cost == 0.0
+        stats = ResilienceRunStats()
+        assert stats.dropped_by_failure == 0
+        assert stats.repaired == 0
+        assert stats.mean_repair_cost == 0.0
+        assert stats.repairs_per_failure == 0.0
 
     def test_aggregates(self):
-        stats = OnlineRunStats(
-            admitted=3, rejected=1, operational_costs=[1.0, 2.0, 3.0]
-        )
-        assert stats.processed == 4
-        assert stats.acceptance_ratio == pytest.approx(0.75)
-        assert stats.total_operational_cost == pytest.approx(6.0)
-
-    def test_reject_histogram(self):
-        stats = OnlineRunStats()
-        stats.record_rejection(RejectReason.TREE_THRESHOLD)
-        stats.record_rejection(RejectReason.TREE_THRESHOLD)
-        stats.record_rejection(RejectReason.DISCONNECTED)
-        stats.record_rejection(None)  # ignored
-        assert stats.reject_reasons[RejectReason.TREE_THRESHOLD] == 2
-        assert stats.reject_reasons[RejectReason.DISCONNECTED] == 1
-        assert len(stats.reject_reasons) == 2
+        stats = ResilienceRunStats(failures=2, repair_costs=[1.0, 3.0])
+        for action in ("dropped", "grafted", "readmitted", "grafted"):
+            stats.record_repair(action)
+        assert stats.dropped_by_failure == 1
+        assert stats.repaired == 3
+        assert stats.mean_repair_cost == pytest.approx(2.0)
+        assert stats.repairs_per_failure == pytest.approx(1.5)

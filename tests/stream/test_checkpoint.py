@@ -5,7 +5,13 @@ import json
 import pytest
 
 from repro import obs
-from repro.stream import StreamRunConfig, build_engine, capture, restore_into
+from repro.stream import (
+    StreamEngine,
+    StreamRunConfig,
+    build_engine,
+    capture,
+    restore_into,
+)
 from repro.stream.checkpoint import (
     FORMAT,
     INCIDENTAL_COUNTERS,
@@ -133,6 +139,26 @@ class TestValidation:
         used.run(max_events=5)
         with pytest.raises(CheckpointError):
             restore_into(used, document)
+
+    def test_failure_schedule_cannot_be_checkpointed(self):
+        # format v1 records no failure state (pending recoveries, dropped
+        # requests, repaired trees), so both directions must refuse
+        config = small_config(requests=40)
+        plain = build_engine(config)
+        with_failures = StreamEngine(
+            plain.algorithm, plain.stream, failures=[]
+        )
+        with_failures.run(max_events=5)
+        with pytest.raises(CheckpointError):
+            capture(with_failures, meta=config.as_dict())
+
+        donor = build_engine(config)
+        donor.run(max_events=5)
+        document = capture(donor, meta=config.as_dict())
+        fresh = build_engine(config)
+        target = StreamEngine(fresh.algorithm, fresh.stream, failures=[])
+        with pytest.raises(CheckpointError):
+            restore_into(target, document)
 
     def test_load_rejects_wrong_format(self, tmp_path):
         path = tmp_path / "bad.ckpt"

@@ -226,6 +226,82 @@ class TestFlashCrowdStream:
             self._stream(graph, episode_duration=200.0)
 
 
+#: Values every rate/holding/spacing/period/multiplier check must refuse.
+NON_POSITIVE_OR_NON_FINITE = [0.0, -1.0, float("nan"), float("inf"), float("-inf")]
+
+
+def _refuses(build, field, bad, **valid):
+    valid[field] = bad
+    with pytest.raises(RequestError):
+        build(**valid)
+
+
+class TestNonFiniteParameters:
+    """NaN and infinities are refused like zero and negative values."""
+
+    @pytest.mark.parametrize("bad", NON_POSITIVE_OR_NON_FINITE, ids=repr)
+    @pytest.mark.parametrize("field", ["arrival_rate", "mean_holding"])
+    def test_poisson_stream(self, graph, field, bad):
+        generator = RequestGenerator(graph, WorkloadConfig(seed=0))
+        _refuses(
+            lambda **kw: PoissonStream(generator, **kw),
+            field, bad, arrival_rate=1.0, mean_holding=1.0,
+        )
+
+    @pytest.mark.parametrize("bad", NON_POSITIVE_OR_NON_FINITE, ids=repr)
+    @pytest.mark.parametrize(
+        "field", ["base_rate", "peak_rate", "period", "mean_holding"]
+    )
+    def test_diurnal_stream(self, graph, field, bad):
+        generator = RequestGenerator(graph, WorkloadConfig(seed=0))
+        _refuses(
+            lambda **kw: DiurnalStream(generator, **kw),
+            field, bad,
+            base_rate=1.0, peak_rate=2.0, period=10.0, mean_holding=1.0,
+        )
+
+    @pytest.mark.parametrize("bad", NON_POSITIVE_OR_NON_FINITE, ids=repr)
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "base_rate",
+            "multiplier",
+            "episode_interval",
+            "episode_duration",
+            "mean_holding",
+            "first_episode",
+        ],
+    )
+    def test_flash_crowd_stream(self, graph, field, bad):
+        if field == "first_episode" and bad == 0.0:
+            pytest.skip("an episode may start at time zero")
+        generator = RequestGenerator(graph, WorkloadConfig(seed=0))
+        _refuses(
+            lambda **kw: FlashCrowdStream(generator, **kw),
+            field, bad,
+            base_rate=1.0, multiplier=2.0, episode_interval=10.0,
+            episode_duration=1.0, mean_holding=1.0, first_episode=0.0,
+        )
+
+    @pytest.mark.parametrize("bad", NON_POSITIVE_OR_NON_FINITE, ids=repr)
+    @pytest.mark.parametrize("field", ["spacing", "holding_time"])
+    def test_sequence_stream(self, graph, field, bad):
+        requests = generate_workload(graph, 3, dmax_ratio=0.2, seed=4)
+        _refuses(
+            lambda **kw: SequenceStream(requests, **kw),
+            field, bad, spacing=1.0, holding_time=1.0,
+        )
+
+    @pytest.mark.parametrize("bad", NON_POSITIVE_OR_NON_FINITE, ids=repr)
+    @pytest.mark.parametrize("field", ["spacing", "holding_time"])
+    def test_figure_stream(self, graph, field, bad):
+        generator = RequestGenerator(graph, WorkloadConfig(seed=0))
+        _refuses(
+            lambda **kw: FigureStream(generator, **kw),
+            field, bad, spacing=1.0, holding_time=1.0,
+        )
+
+
 class TestSequenceAndFigureStreams:
     def test_sequence_stream_is_unit_spaced_no_departures(self, graph):
         requests = generate_workload(graph, 8, dmax_ratio=0.2, seed=4)

@@ -68,6 +68,16 @@ class TestPoisson:
         with pytest.raises(RequestError):
             poisson_process(requests, 1.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "bad", [0.0, -1.0, float("nan"), float("inf"), float("-inf")], ids=repr
+    )
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_non_finite_parameters(self, requests, position, bad):
+        args = [1.0, 5.0]
+        args[position] = bad
+        with pytest.raises(RequestError):
+            poisson_process(requests, *args)
+
 
 class TestInterleave:
     def test_merges_sorted(self, requests):
