@@ -20,18 +20,32 @@ from repro.analysis.common import build_random_network, make_requests
 from repro.analysis.profiles import ExperimentProfile
 from repro.analysis.series import FigureResult
 from repro.core import alg_one_server, appro_multi
+from repro.network.sdn import SDNetwork
 from repro.simulation import parallel_map, run_offline
+from repro.workload.request import MulticastRequest
 
 
-def _fig5_point(
+def fig5_instance(
     profile: ExperimentProfile, ratio: float, size: int
-) -> Tuple[float, float, float, float]:
-    """One (ratio, size) data point; all randomness from ``seed_for``."""
+) -> Tuple[SDNetwork, List[MulticastRequest]]:
+    """The network and requests of one (ratio, size) data point.
+
+    All randomness comes from ``seed_for``, so a second call rebuilds the
+    same instance.
+    """
     seed = profile.seed_for("fig5", ratio, size)
     network = build_random_network(size, seed)
     requests = make_requests(
         network.graph, profile.offline_requests, ratio, seed + 1
     )
+    return network, requests
+
+
+def _fig5_point(
+    profile: ExperimentProfile, ratio: float, size: int
+) -> Tuple[float, float, float, float]:
+    """One (ratio, size) data point (see :func:`fig5_instance`)."""
+    network, requests = fig5_instance(profile, ratio, size)
     appro_stats = run_offline(
         lambda net, req: appro_multi(
             net, req, max_servers=profile.max_servers

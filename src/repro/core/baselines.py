@@ -24,6 +24,7 @@ from repro.graph.mst import prim_mst
 from repro.graph.shortest_paths import ShortestPathTree, dijkstra
 from repro.graph.tree import prune_leaves
 from repro.network.sdn import SDNetwork
+from repro.obs import inc as _obs_inc
 from repro.workload.request import MulticastRequest
 
 Node = Hashable
@@ -97,17 +98,21 @@ def alg_one_server(
             subgraph.add_edge(u, v, scaled.weight(u, v))
     subgraph = prune_leaves(subgraph, keep=terminals)
     subgraph_cost = subgraph.total_weight()
+    _obs_inc("alg_one_server.trees")
 
     # Pick the server minimizing the processing round trip + chain cost.
     best: Optional[Tuple[float, Node]] = None
+    priced = 0
     for server in network.server_nodes:
         if not source_tree.reaches(server):
             continue
+        priced += 1
         round_trip = 2.0 * source_tree.distance[server]
         chain_cost = network.chain_cost(server, request.compute_demand)
         total = round_trip + chain_cost + subgraph_cost
         if best is None or total < best[0]:
             best = (total, server)
+    _obs_inc("alg_one_server.combinations_evaluated", priced)
 
     if best is None:
         raise InfeasibleRequestError(

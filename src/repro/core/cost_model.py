@@ -173,6 +173,10 @@ class LinkPrices:
             ``i`` and ``j``.
         price: ``price[l]`` is link ``l``'s normalized weight ``w_e(k)`` as
             of the last :meth:`priced_csr` call (no tie-break added).
+        bound_slack: twice the sum of every link's tie-break.  A tree's
+            price sum plus its detour's holds no more tie-break than this,
+            so a lower bound read from solver distances, less this slack,
+            bounds those price sums too.
     """
 
     __slots__ = (
@@ -186,6 +190,7 @@ class LinkPrices:
         "_tie_breaks",
         "_epoch",
         "price",
+        "bound_slack",
         "_kept",
     )
 
@@ -208,6 +213,7 @@ class LinkPrices:
             self._ends.append((u, v, i, j))
             self._links.append(network.link(u, v))
             self._tie_breaks.append(TIE_BREAK_SCALE * unit_cost)
+        self.bound_slack = 2.0 * sum(self._tie_breaks)
         self._epoch: Optional[int] = None
         self.price: List[float] = []
         #: ``(i, j, solver weight, residual + 1e-9, u, v)`` per up link.

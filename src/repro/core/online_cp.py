@@ -23,9 +23,15 @@ request (:class:`~repro.core.cost_model.LinkPrices`), Dijkstra rows from a
 :class:`~repro.graph.spcache.ShortestPathCache` on that view, the
 index-space KMB (:func:`~repro.graph.steiner.kmb_steiner_tree_flat`), and
 tree, detour and LCA arithmetic on parent walks.  Only the winning tree is
-decoded into a ``Graph``.  :class:`OnlineCPReference` keeps the dict-graph
-decide it replicates bit for bit — same decisions, same floats — as the
-differential oracle.
+decoded into a ``Graph``.  It builds trees in a bounded best-first sweep
+(:class:`_Bounds`): a server whose σ_e floor already fails ``σ_e`` is
+never built, and the others are built in ascending winner-bound order
+until a bound exceeds the best selection weight.  A server is skipped only
+when its tree could neither pass ``σ_e`` nor beat or tie the winner, so
+every decision equals the one that builds every tree.
+:class:`OnlineCPReference` keeps that unpruned dict-graph decide, which
+:class:`OnlineCP` replicates bit for bit — same decisions, same floats —
+as the differential oracle.
 """
 
 from __future__ import annotations
@@ -61,6 +67,11 @@ from repro.obs import (
 from repro.workload.request import MulticastRequest
 
 Node = Hashable
+
+#: Relative margin of both bound tests.  A bound adds up distances from
+#: other rows and in another order than the weight it bounds, so it may
+#: sit a few ulps above that weight; 1e-9 is far above such rounding.
+_BOUND_MARGIN = 1e-9
 
 
 @dataclass
@@ -133,10 +144,10 @@ class OnlineCP(OnlineAlgorithm):
         destinations = sorted(request.destinations, key=repr)
         dest_ids: List[int] = []
         for destination in destinations:
-            position = index.get(destination)
-            if position is None or source_dist[position] == INFINITY:
+            dest_id = index.get(destination)
+            if dest_id is None or source_dist[dest_id] == INFINITY:
                 return self._reject(request, RejectReason.DISCONNECTED)
-            dest_ids.append(position)
+            dest_ids.append(dest_id)
 
         # The source's and the destinations' rows may be read at any other
         # terminal, so they are full; a server that is neither is read
@@ -150,12 +161,14 @@ class OnlineCP(OnlineAlgorithm):
                 return sp_cache.flat_tree(nodes[terminal])
             return sp_cache.flat_tree(nodes[terminal], targets=dest_set)
 
-        price = prices.price
-        link_at = prices.link_at
-        best: Optional[Tuple[Node, FlatAdjacency, int, float]] = None
+        # Screen: σ_v, reachability and the σ_e floor.  The survivors carry
+        # their winner bound into the sweep.
+        sigma_e_limit = self._policy.sigma_e * (1.0 + _BOUND_MARGIN)
+        bounds: Optional[_Bounds] = None
+        screened: List[Tuple[float, int, Node, int, float]] = []
         saw_server_pass = False
-        saw_tree_built = False
-        for server in candidates:
+        floored = 0
+        for position, server in enumerate(candidates):
             server_weight = self._model.node_weight(network, server)
             if not self._policy.server_admissible(server_weight):
                 continue
@@ -163,7 +176,37 @@ class OnlineCP(OnlineAlgorithm):
             server_id = index[server]
             if source_dist[server_id] == INFINITY:
                 continue
-            _obs_inc("online_cp.candidates")
+            if bounds is None:
+                bounds = _Bounds(
+                    source_dist,
+                    dest_ids,
+                    [rows(d)[0] for d in dest_ids],
+                    prices.bound_slack,
+                )
+            floor, bound = bounds.of(server_id, server_weight)
+            if floor > sigma_e_limit:
+                # Every tree over these terminals fails σ_e, and KMB would
+                # have built one: each terminal is reachable from the
+                # source.  So it counts as a built tree.
+                floored += 1
+                continue
+            screened.append((bound, position, server, server_id, server_weight))
+        saw_tree_built = floored > 0
+
+        # Sweep: ascending (bound, position); the minimum by the exact
+        # (selection, position), so an exact tie goes to the server listed
+        # first.  Once a bound exceeds the winner's weight by the margin,
+        # no later server can beat or tie it.
+        screened.sort()
+        price = prices.price
+        link_at = prices.link_at
+        best: Optional[Tuple[float, int, Node, FlatAdjacency, int]] = None
+        limit = INFINITY
+        evaluated = 0
+        for bound, position, server, server_id, server_weight in screened:
+            if bound > limit:
+                break
+            evaluated += 1
             try:
                 tree = kmb_steiner_tree_flat(
                     csr, [source, server_id] + dest_ids, rows
@@ -182,15 +225,22 @@ class OnlineCP(OnlineAlgorithm):
                     [price[link_at[u][v]] for u, v in zip(detour, detour[1:])]
                 )
             selection = tree_weight + server_weight + detour_weight
-            if best is None or selection < best[3]:
-                best = (server, tree, detour[-1], selection)
+            if best is None or (selection, position) < best[:2]:
+                best = (selection, position, server, tree, detour[-1])
+                limit = selection + abs(selection) * _BOUND_MARGIN
+        if evaluated:
+            _obs_inc("online_cp.candidates", evaluated)
+        if floored:
+            _obs_inc("online_cp.pruned.sigma_e", floored)
+        if len(screened) > evaluated:
+            _obs_inc("online_cp.pruned.bound", len(screened) - evaluated)
 
         if best is None:
             return self._reject(
                 request, _no_candidate_reason(saw_tree_built, saw_server_pass)
             )
 
-        server, tree, meeting, selection = best
+        selection, _, server, tree, meeting = best
         graph = Graph.from_adjacency(
             {
                 nodes[u]: {nodes[v]: w for v, w in row.items()}
@@ -371,6 +421,65 @@ def _no_candidate_reason(
     if saw_server_pass:
         return RejectReason.DISCONNECTED
     return RejectReason.SERVER_THRESHOLD
+
+
+class _Bounds:
+    """Lower bounds on one request's candidate trees, from terminal rows.
+
+    Built from the source's and every destination's full distance row on
+    the priced solver graph.  For server ``v``, with ``d`` the solver
+    distance and ``u = LCA(v, D)`` in the tree rooted at ``s``:
+
+    - the σ_e floor ``F_v`` is the largest distance between two of ``v``'s
+      terminals ``{s, v} ∪ D``.  The tree holds a path between every pair,
+      so ``F_v`` bounds its weight;
+    - the winner bound ``B_v = w_v + max(d(s, v) + min_d d(v, d), F_v)``
+      bounds the selection weight.  The tree holds ``s → u → v`` and a
+      branch ``u → d*`` edge-disjoint from ``u → v``, and the detour adds
+      ``u → v`` once more.
+
+    Distances include the tie-break and the weights they bound do not, so
+    both bounds are lowered by ``slack`` (:attr:`LinkPrices.bound_slack`).
+    """
+
+    __slots__ = ("_source_dist", "_dest_dists", "_floor", "_slack")
+
+    def __init__(
+        self,
+        source_dist: List[float],
+        dest_ids: List[int],
+        dest_dists: List[List[float]],
+        slack: float,
+    ) -> None:
+        floor = 0.0
+        for rank, dist in enumerate(dest_dists):
+            floor = max(
+                floor,
+                source_dist[dest_ids[rank]],
+                *[dist[j] for j in dest_ids[rank + 1 :]],
+            )
+        self._source_dist = source_dist
+        self._dest_dists = dest_dists
+        self._floor = floor
+        self._slack = slack
+
+    def of(self, server: int, server_weight: float) -> Tuple[float, float]:
+        """``(F_v, B_v)`` of the server with index ``server``."""
+        to_server = self._source_dist[server]
+        far = self._floor if self._floor > to_server else to_server
+        near = INFINITY
+        for dist in self._dest_dists:
+            distance = dist[server]
+            if distance > far:
+                far = distance
+            if distance < near:
+                near = distance
+        through = to_server + near
+        slack = self._slack
+        return (
+            far - slack,
+            server_weight + (through if through > far else far) - slack,
+        )
 
 
 def _detour(

@@ -23,7 +23,8 @@ rewrite to the seed behaviour over a bank of seeded random instances:
    ``Online_CP`` matches its dict-graph reference decide
    (``OnlineCPReference``, trees from the dict ``dijkstra`` oracle) on a
    twin network, over churn with departures, congestion that triggers
-   every reject reason, and topologies where every unit cost is equal; and
+   every reject reason and both skips of the bounded candidate sweep, and
+   topologies where every unit cost is equal; and
    the ``Online_CP_K`` admission series matches a run whose every
    shortest-path tree comes from the dict ``dijkstra`` oracle instead of
    the CSR kernel.
@@ -34,9 +35,11 @@ graph that broke and is replayable in isolation.
 
 import functools
 import random
+from collections import Counter
 
 import pytest
 
+from repro import obs
 from repro.core import (
     VIRTUAL_SOURCE,
     CSRCombinationEvaluator,
@@ -341,12 +344,14 @@ class TestBackendIdentity:
             try_allocate(network, tree)
 
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("kind", ["cp", "cpk"])
+    @pytest.mark.parametrize("kind", ["cp", "cp-n24", "cpk"])
     def test_online_admission_series_bit_identical(
         self, seed, kind, monkeypatch
     ):
-        if kind == "cp":
-            production, oracle = online_cp_twin_series(seed)
+        if kind in TWIN_SIZES:
+            production, oracle, _ = online_cp_twin_series(
+                seed, TWIN_SIZES[kind]
+            )
             assert len(production) >= 80
             assert production == oracle
             return
@@ -379,8 +384,21 @@ class TestBackendIdentity:
         """
         seen = set()
         for seed in SEEDS:
-            seen.update(entry[1] for entry in online_cp_twin_series(seed)[0])
+            series = online_cp_twin_series(seed, TWIN_SIZES["cp"])[0]
+            seen.update(entry[1] for entry in series)
         assert seen >= set(RejectReason) - {RejectReason.TABLE_CAPACITY}
+
+    def test_online_cp_twins_meet_both_skips(self):
+        """The 24-node twins skip servers by both bounds of the sweep.
+
+        Without skips the differential above would pass with bounds that
+        never fire; with them it shows that skipping changes no decision.
+        """
+        skipped = Counter()
+        for seed in SEEDS:
+            skipped.update(online_cp_twin_series(seed, TWIN_SIZES["cp-n24"])[2])
+        assert skipped["online_cp.pruned.bound"] > 0
+        assert skipped["online_cp.pruned.sigma_e"] > 0
 
     @staticmethod
     def _instance(seed):
@@ -397,9 +415,11 @@ class TestBackendIdentity:
 #: arrival (repeated, so bursts of departures happen too).
 TWIN_REQUESTS = 80
 TWIN_DEPARTURE_CHANCE = 0.3
+#: Twin network size per ``Online_CP`` kind of the series test.
+TWIN_SIZES = {"cp": 16, "cp-n24": 24}
 
 
-def congested_twin(seed):
+def congested_twin(seed, nodes):
     """A small, congested network for one seed, plus its request stream.
 
     Link and server capacities are a fraction of the defaults, so the
@@ -407,7 +427,7 @@ def congested_twin(seed):
     costs equal, which makes the idle prices and the Dijkstra searches
     tie everywhere.  Calling this twice yields twin networks.
     """
-    graph, _ = waxman_graph(16, alpha=0.5, beta=0.5, seed=seed)
+    graph, _ = waxman_graph(nodes, alpha=0.5, beta=0.5, seed=seed)
     if seed % 2:
         graph = Graph.from_edges((u, v, 1.0) for u, v, _ in graph.edges())
     network = build_sdn(
@@ -449,20 +469,29 @@ def departing_series(algorithm, request_seq, seed):
 
 
 @functools.lru_cache(maxsize=None)
-def online_cp_twin_series(seed):
-    """``(flat OnlineCP series, reference series)`` on twin networks.
+def online_cp_twin_series(seed, nodes):
+    """``(flat series, reference series, flat counters)`` on twin networks.
 
     The reference decides on dict graphs with every shortest-path tree
-    served by the dict ``dijkstra`` oracle.
+    served by the dict ``dijkstra`` oracle.  The counters are the obs
+    deltas of the flat run.
     """
-    network, request_seq = congested_twin(seed)
-    production = departing_series(OnlineCP(network), request_seq, seed)
+    network, request_seq = congested_twin(seed, nodes)
+    was_enabled = obs.enabled()
+    obs.enable()
+    before = obs.counters()
+    try:
+        production = departing_series(OnlineCP(network), request_seq, seed)
+        counters = obs.counters_since(before)
+    finally:
+        if not was_enabled:
+            obs.disable()
     with pytest.MonkeyPatch.context() as patch:
         calls = serve_trees_from_dict_dijkstra(patch)
-        twin, _ = congested_twin(seed)
+        twin, _ = congested_twin(seed, nodes)
         oracle = departing_series(OnlineCPReference(twin), request_seq, seed)
     assert calls[0] > 0
-    return production, oracle
+    return production, oracle, counters
 
 
 class TestApproximationBound:

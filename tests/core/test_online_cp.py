@@ -1,19 +1,28 @@
 """Unit tests for Online_CP (Algorithm 2)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     AdmissionPolicy,
     ExponentialCostModel,
     LinearCostModel,
     OnlineCP,
+    OnlineCPReference,
     validate_pseudo_tree,
 )
+from repro.core.cost_model import LinkPrices
 from repro.core.online_base import RejectReason
+from repro.core.online_cp import _Bounds, _detour
 from repro.exceptions import SimulationError
-from repro.graph import Graph
+from repro.graph import Graph, dijkstra
+from repro.graph.shortest_paths import INFINITY
+from repro.graph.spcache import ShortestPathCache
+from repro.graph.steiner import flat_edges, kmb_steiner_tree_flat
 from repro.network import build_sdn
 from repro.nfv import FunctionType, ServiceChain
+from repro.topology import waxman_graph
 from repro.workload import MulticastRequest, generate_workload
 
 
@@ -252,3 +261,160 @@ class TestDetour:
             _detour(split, 0, 1, [2], list(range(4)))
         with pytest.raises(NodeNotFoundError):
             _detour({1: {}}, 0, 1, [], list(range(2)))
+
+
+def unpruned_candidates(network, request):
+    """Every candidate of ``OnlineCP``'s decide, none skipped.
+
+    One ``(server, F_v, B_v, tree weight, selection weight)`` per server
+    that can host the chain, passes ``σ_v`` and is reachable; the weights
+    come from a KMB tree built for every one of them.
+    """
+    algorithm = OnlineCP(network)
+    model, policy = algorithm.cost_model, algorithm.policy
+    prices = LinkPrices(model, network)
+    csr = prices.priced_csr(request.bandwidth)
+    cache = ShortestPathCache(compiled=csr)
+    nodes, index = csr.nodes, csr.index
+    source = index[request.source]
+    dest_ids = [index[d] for d in sorted(request.destinations, key=repr)]
+    source_dist = cache.flat_tree(request.source)[0]
+    if any(source_dist[d] == INFINITY for d in dest_ids):
+        return []
+    bounds = _Bounds(
+        source_dist,
+        dest_ids,
+        [cache.flat_tree(nodes[d])[0] for d in dest_ids],
+        prices.bound_slack,
+    )
+
+    def weight(path_edges):
+        return sum(prices.price[prices.link_at[u][v]] for u, v in path_edges)
+
+    out = []
+    for server in network.server_nodes:
+        if not network.server(server).can_allocate(request.compute_demand):
+            continue
+        server_weight = model.node_weight(network, server)
+        if not policy.server_admissible(server_weight):
+            continue
+        server_id = index[server]
+        if source_dist[server_id] == INFINITY:
+            continue
+        tree = kmb_steiner_tree_flat(
+            csr,
+            [source, server_id] + dest_ids,
+            lambda terminal: cache.flat_tree(nodes[terminal]),
+        )
+        tree_weight = weight((u, v) for u, v, _ in flat_edges(tree))
+        detour = _detour(tree, source, server_id, dest_ids, nodes)
+        selection = tree_weight + server_weight + weight(zip(detour, detour[1:]))
+        floor, bound = bounds.of(server_id, server_weight)
+        out.append((server, floor, bound, tree_weight, selection))
+    return out
+
+
+@st.composite
+def congested_instances(draw):
+    """A small network loaded by ``OnlineCP`` admissions, plus a request.
+
+    Capacities are a fraction of the defaults, so the load prices links
+    and servers steeply; half the instances set every unit cost equal.
+    """
+    seed = draw(st.integers(0, 10_000))
+    graph, _ = waxman_graph(
+        draw(st.integers(8, 16)), alpha=0.5, beta=0.5, seed=seed
+    )
+    if draw(st.booleans()):
+        graph = Graph.from_edges((u, v, 1.0) for u, v, _ in graph.edges())
+    network = build_sdn(
+        graph,
+        seed=seed,
+        server_fraction=0.3,
+        bandwidth_range=(300.0, 1_500.0),
+        compute_range=(100.0, 600.0),
+    )
+    load = draw(st.integers(0, 40))
+    requests = generate_workload(
+        graph, count=load + 1, dmax_ratio=0.25, seed=seed + 10_000
+    )
+    algorithm = OnlineCP(network)
+    for request in requests[:-1]:
+        algorithm.process(request)
+    return network, requests[-1]
+
+
+class TestBoundedSweep:
+    """The sweep skips a server only when it cannot change the decision."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(congested_instances())
+    def test_bounds_sit_below_the_weights_they_bound(self, instance):
+        """``F_v`` ≤ the tree's weight and ``B_v`` ≤ the selection weight."""
+        network, request = instance
+        for _, floor, bound, tree_weight, selection in unpruned_candidates(
+            network, request
+        ):
+            assert floor <= tree_weight
+            assert bound <= selection
+
+    def test_idle_tie_reaches_a_server_whose_bound_equals_the_winner(self):
+        """An idle tie at 0 goes to ``p``, listed first, swept second.
+
+        Topology (link unit costs)::
+
+            d -0- s -0- q
+                  |
+                  1
+                  |
+                  p
+
+        Only ``s - p`` carries a tie-break ``t``, so ``q``'s bound is
+        ``-2t`` and ``p``'s is exactly ``2t - 2t = 0``: ``p`` is swept
+        after ``q`` has set the winning weight 0, and must still be built.
+        """
+        graph = Graph.from_edges(
+            [("s", "d", 0.0), ("s", "q", 0.0), ("s", "p", 1.0)]
+        )
+
+        def twin():
+            return build_sdn(
+                graph, server_nodes=["p", "q"], seed=0, link_cost_scale=1.0
+            )
+
+        request = MulticastRequest.create(1, "s", ["d"], 10.0, simple_chain())
+        table = {
+            server: (bound, selection)
+            for server, _, bound, _, selection in unpruned_candidates(
+                twin(), request
+            )
+        }
+        assert table["q"][0] < table["p"][0] == 0.0
+        assert table["q"][1] == table["p"][1] == 0.0
+        decision = OnlineCP(twin()).process(request)
+        reference = OnlineCPReference(twin()).process(request)
+        assert decision.tree.servers == reference.tree.servers == ("p",)
+        assert decision.selection_weight == 0.0
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("nodes", [16, 24])
+    def test_idle_ties_go_to_the_first_server(self, seed, nodes):
+        """On an idle network every selection weight is 0, so the first
+        reachable server in ``server_nodes`` order wins, as in the
+        reference, whatever order the bounds sweep the servers in."""
+        graph, _ = waxman_graph(nodes, alpha=0.5, beta=0.5, seed=seed)
+        network = build_sdn(graph, seed=seed, server_fraction=0.3)
+        twin = build_sdn(graph, seed=seed, server_fraction=0.3)
+        algorithm, reference = OnlineCP(network), OnlineCPReference(twin)
+        for request in generate_workload(
+            graph, count=10, dmax_ratio=0.25, seed=seed + 10_000
+        ):
+            reaches = dijkstra(graph, request.source).reaches
+            first = next(v for v in network.server_nodes if reaches(v))
+            decision = algorithm.process(request)
+            expected = reference.process(request)
+            assert decision.selection_weight == 0.0
+            assert decision.tree.servers == expected.tree.servers == (first,)
+            # departing leaves both twins idle for the next request
+            algorithm.depart(request.request_id)
+            reference.depart(request.request_id)
