@@ -13,14 +13,14 @@ with ``α = β = 2|V|``.  The *normalized weights* used inside Algorithm 2 are
 strawman the paper argues against) is provided for ablation benchmarks.
 
 :class:`LinkPrices` is the flat twin of :meth:`CostModel.weight_graph`: it
-prices every link once per network epoch and compiles each request's
-solver graph ``G_k`` straight from those prices.
+re-prices a link only when the link's state changes and compiles each
+request's solver graph ``G_k`` straight from those prices.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.exceptions import InvalidWeightError
 from repro.graph.csr import CSRGraph
@@ -43,7 +43,13 @@ class CostModel(abc.ABC):
 
     @abc.abstractmethod
     def edge_weight(self, network: SDNetwork, u: Node, v: Node) -> float:
-        """Return the normalized weight ``w_e(k)`` of link ``(u, v)``."""
+        """Return the normalized weight ``w_e(k)`` of link ``(u, v)``.
+
+        The weight must depend only on that link's own state (its
+        ``residual`` and ``up``, plus its fixed capacity and unit cost)
+        and on the fixed topology: :class:`LinkPrices` re-prices a link
+        only when its own state changed.
+        """
 
     @abc.abstractmethod
     def node_weight(self, network: SDNetwork, node: Node) -> float:
@@ -157,14 +163,19 @@ class UtilizationCostModel(CostModel):
 
 
 class LinkPrices:
-    """Per-epoch link prices of one network under one cost model.
+    """Link prices of one network under one cost model, kept current.
 
     The flat twin of :meth:`CostModel.weight_graph`.  Links are numbered in
     ``network.graph.edges()`` order and nodes in topology order, both
-    fixed for the network's lifetime.  Every link is priced with
-    :meth:`CostModel.edge_weight` once per network epoch (any allocation,
-    release or failure bumps the epoch), and :meth:`priced_csr` compiles a
-    request's solver graph from those prices alone.
+    fixed for the network's lifetime.  When the network epoch has moved,
+    a link is re-priced with :meth:`CostModel.edge_weight` only if its
+    ``residual`` or ``up`` attribute no longer holds the object it held at
+    its last pricing: a link's weight depends on its own state alone, so
+    an allocation re-prices only its own tree's links.  The test is
+    identity, not float equality — an attribute that is never reassigned
+    keeps its object, and an equal value that is reassigned costs one
+    extra re-price.  :meth:`priced_csr` compiles a request's solver graph
+    from those prices alone.
 
     Attributes:
         nodes: the topology's nodes; ``nodes[i]`` has index ``i``.
@@ -191,7 +202,10 @@ class LinkPrices:
         "_epoch",
         "price",
         "bound_slack",
+        "_seen",
+        "_entries",
         "_kept",
+        "_invalid",
     )
 
     def __init__(self, model: CostModel, network: SDNetwork) -> None:
@@ -203,36 +217,63 @@ class LinkPrices:
             node: i for i, node in enumerate(self.nodes)
         }
         self.link_at: List[Dict[int, int]] = [{} for _ in self.nodes]
-        self._ends: List[Tuple[Node, Node, int, int]] = []
+        self._ends: List[Tuple[Node, Node]] = []
         self._links: List[LinkState] = []
         self._tie_breaks: List[float] = []
+        #: ``[i, j, (j, weight), (i, weight), residual + 1e-9]`` per link:
+        #: its prebuilt row entries and headroom, updated in place.
+        self._entries: List[List[Any]] = []
         for link_id, (u, v, unit_cost) in enumerate(graph.edges()):
             i, j = self.index[u], self.index[v]
             self.link_at[i][j] = link_id
             self.link_at[j][i] = link_id
-            self._ends.append((u, v, i, j))
+            self._ends.append((u, v))
             self._links.append(network.link(u, v))
             self._tie_breaks.append(TIE_BREAK_SCALE * unit_cost)
+            self._entries.append([i, j, None, None, None])
         self.bound_slack = 2.0 * sum(self._tie_breaks)
         self._epoch: Optional[int] = None
-        self.price: List[float] = []
-        #: ``(i, j, solver weight, residual + 1e-9, u, v)`` per up link.
-        self._kept: List[Tuple[int, int, float, float, Node, Node]] = []
+        self.price: List[float] = [0.0] * len(self._links)
+        #: The ``(residual, up)`` objects each link was last priced at.
+        self._seen: List[Tuple[Any, Any]] = [(None, None)] * len(self._links)
+        #: The up links' entries, in link order.
+        self._kept: List[List[Any]] = []
+        #: Links whose solver weight is negative, NaN or infinite.
+        self._invalid: Set[int] = set()
 
     def _refresh(self) -> None:
-        """Re-price every link unless the network epoch is unchanged."""
+        """Re-price the links that changed, unless the epoch is unchanged."""
         network = self._network
         if network.epoch == self._epoch:
             return
+        # Looked up per refresh, so a rebound ``edge_weight`` sees the calls.
         edge_weight = self._model.edge_weight
-        self.price = [edge_weight(network, u, v) for u, v, _, _ in self._ends]
-        self._kept = [
-            (i, j, price + tie_break, link.residual + 1e-9, u, v)
-            for (u, v, i, j), link, price, tie_break in zip(
-                self._ends, self._links, self.price, self._tie_breaks
-            )
-            if link.up
-        ]
+        seen = self._seen
+        up_changed = False
+        for link_id, link in enumerate(self._links):
+            residual, up = link.residual, link.up
+            last_residual, last_up = seen[link_id]
+            if residual is last_residual and up is last_up:
+                continue
+            seen[link_id] = (residual, up)
+            up_changed = up_changed or up is not last_up
+            u, v = self._ends[link_id]
+            price = self.price[link_id] = edge_weight(network, u, v)
+            weight = price + self._tie_breaks[link_id]
+            if 0.0 <= weight < INFINITY:  # also rejects NaN
+                self._invalid.discard(link_id)
+            else:
+                self._invalid.add(link_id)
+            entry = self._entries[link_id]
+            entry[2] = (entry[1], weight)
+            entry[3] = (entry[0], weight)
+            entry[4] = residual + 1e-9
+        if up_changed:
+            self._kept = [
+                entry
+                for entry, link in zip(self._entries, self._links)
+                if link.up
+            ]
         self._epoch = network.epoch
 
     def priced_csr(self, min_residual_bandwidth: float = 0.0) -> CSRGraph:
@@ -248,17 +289,17 @@ class LinkPrices:
                 infinite.
         """
         self._refresh()
+        for link_id in sorted(self._invalid):
+            _, _, (_, weight), _, headroom = self._entries[link_id]
+            kept = not headroom < min_residual_bandwidth
+            if kept and self._links[link_id].up:
+                raise InvalidWeightError(*self._ends[link_id], weight)
         rows: List[List[Tuple[int, float]]] = [[] for _ in self.nodes]
-        for i, j, weight, headroom, u, v in self._kept:
+        for i, j, forward, backward, headroom in self._kept:
             if headroom < min_residual_bandwidth:
                 continue
-            if not 0.0 <= weight < INFINITY:  # also rejects NaN
-                raise InvalidWeightError(u, v, weight)
-            rows[i].append((j, weight))
-            rows[j].append((i, weight))
-        return CSRGraph.from_adjacency(
-            self.nodes,
-            self.index,
-            [tuple(row) for row in rows],
-            epoch=self._epoch,
+            rows[i].append(forward)
+            rows[j].append(backward)
+        return CSRGraph(
+            self.nodes, self.index, list(map(tuple, rows)), epoch=self._epoch
         )

@@ -3,15 +3,14 @@
 Every algorithm in the paper bottoms out in single-source Dijkstra over the
 dict-of-dict :class:`~repro.graph.graph.Graph`.  That engine pays a hash
 lookup and a method call per edge relaxation; this module compiles a
-topology once into flat arrays and runs the same search over integer
-indices:
+topology once into integer-indexed rows and runs the same search over
+integer indices:
 
 - :func:`compile_csr` interns nodes (stable ``node -> int`` in insertion
-  order) and lays the adjacency out in CSR form — ``indptr``/``indices`` as
-  ``array('q')`` and ``weights`` as ``array('d')``;
-  :meth:`CSRGraph.from_adjacency` builds the same view straight from
-  per-node ``(neighbor index, weight)`` rows (the priced graphs of
-  ``Online_CP``, see :class:`~repro.core.cost_model.LinkPrices`);
+  order) and lays the adjacency out as one tuple of ``(neighbor index,
+  weight)`` pairs per node; :class:`CSRGraph` also takes such rows
+  directly (the priced graphs of ``Online_CP``, see
+  :class:`~repro.core.cost_model.LinkPrices`);
 - one search loop fills fresh index rows (distance, parent) and records
   the settle order and the first-relaxation order, with the same
   ``targets=`` early exit as the dict engine;
@@ -63,7 +62,6 @@ the same domain the paper's cost model uses and Dijkstra requires anyway.
 
 from __future__ import annotations
 
-from array import array
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import InvalidWeightError, NodeNotFoundError
@@ -81,80 +79,37 @@ Rows = Tuple[List[float], List[int]]
 
 
 class CSRGraph:
-    """A compiled, immutable CSR view of a graph.
+    """A compiled, immutable view of a graph: interned nodes, per-node rows.
 
     Attributes:
         nodes: interned node objects; ``nodes[i]`` is the node with index
             ``i`` (insertion order of the source graph).
         index: the inverse map ``node -> int``.
-        indptr: ``array('q')`` of length ``n + 1``; the neighbors of node
-            ``i`` occupy ``indices[indptr[i]:indptr[i+1]]``.
-        indices: ``array('q')`` of neighbor indices (each undirected edge
-            appears twice, once per endpoint).
-        weights: ``array('d')`` of edge weights, parallel to ``indices``.
         epoch: optional caller-supplied version tag (e.g. the
             :class:`~repro.network.sdn.SDNetwork` epoch the source graph
             was derived at); purely informational.
+
+    ``adjacency[i]`` lists node ``i``'s ``(neighbor index, weight)`` pairs
+    in the order the search must relax them (the source graph's
+    ``neighbor_items()`` order), each undirected edge once per endpoint.
+    The caller guarantees finite non-negative, symmetric weights (see
+    :func:`compile_csr`).
     """
 
-    __slots__ = (
-        "nodes",
-        "index",
-        "indptr",
-        "indices",
-        "weights",
-        "epoch",
-        "_adj",
-        "_engine",
-    )
+    __slots__ = ("nodes", "index", "epoch", "_adj", "_engine")
 
     def __init__(
         self,
         nodes: List[Node],
         index: Dict[Node, int],
-        indptr: "array[int]",
-        indices: "array[int]",
-        weights: "array[float]",
+        adjacency: Adjacency,
         epoch: Optional[int] = None,
     ) -> None:
         self.nodes = nodes
         self.index = index
-        self.indptr = indptr
-        self.indices = indices
-        self.weights = weights
         self.epoch = epoch
-        self._adj: Optional[Adjacency] = None
+        self._adj = adjacency
         self._engine: Optional[_CSRDijkstra] = None
-
-    @classmethod
-    def from_adjacency(
-        cls,
-        nodes: List[Node],
-        index: Dict[Node, int],
-        adjacency: Adjacency,
-        epoch: Optional[int] = None,
-    ) -> "CSRGraph":
-        """Build a view straight from per-node ``(neighbor, weight)`` rows.
-
-        ``adjacency[i]`` lists node ``i``'s neighbors in the order the
-        search must relax them (the source graph's ``neighbor_items()``
-        order).  The rows are kept as the engine's adjacency, so nothing
-        is re-derived from the CSR arrays.  The caller guarantees finite
-        non-negative, symmetric weights (see :func:`compile_csr`).
-        """
-        indptr = array("q", [0])
-        for row in adjacency:
-            indptr.append(indptr[-1] + len(row))
-        csr = cls(
-            nodes=nodes,
-            index=index,
-            indptr=indptr,
-            indices=array("q", [j for row in adjacency for j, _ in row]),
-            weights=array("d", [w for row in adjacency for _, w in row]),
-            epoch=epoch,
-        )
-        csr._adj = adjacency
-        return csr
 
     @property
     def num_nodes(self) -> int:
@@ -164,7 +119,7 @@ class CSRGraph:
     @property
     def num_edges(self) -> int:
         """The number of undirected edges."""
-        return len(self.indices) // 2
+        return sum(map(len, self._adj)) // 2
 
     def engine(self) -> "_CSRDijkstra":
         """Return the (lazily created) shared search engine for this view."""
@@ -176,22 +131,11 @@ class CSRGraph:
     def adjacency(self) -> List[Tuple[Tuple[int, float], ...]]:
         """Per-node adjacency as tuples of ``(neighbor index, weight)``.
 
-        This is the engine's own pre-paired layout (one tuple per node, in
-        ``neighbor_items()`` order), shared — not copied — so flat solver
-        cores can walk the topology without re-deriving it from
-        ``indptr``/``indices``.  Treat it as read-only.
+        The view's own rows (one tuple per node, in ``neighbor_items()``
+        order), shared — not copied — so flat solver cores can walk the
+        topology directly.  Treat it as read-only.
         """
-        adj = self._adj
-        if adj is None:
-            indptr = list(self.indptr)
-            indices = list(self.indices)
-            weights = list(self.weights)
-            adj = self._adj = [
-                tuple(zip(indices[indptr[i] : indptr[i + 1]],
-                          weights[indptr[i] : indptr[i + 1]]))
-                for i in range(len(self.nodes))
-            ]
-        return adj
+        return self._adj
 
     def __repr__(self) -> str:
         return f"CSRGraph(nodes={self.num_nodes}, edges={self.num_edges})"
@@ -225,7 +169,7 @@ def compile_csr(graph, epoch: Optional[int] = None) -> CSRGraph:
                     raise InvalidWeightError(node, neighbor, weight)
                 row.append((index[neighbor], weight))
             adjacency.append(tuple(row))
-        return CSRGraph.from_adjacency(nodes, index, adjacency, epoch=epoch)
+        return CSRGraph(nodes, index, adjacency, epoch=epoch)
 
 
 class _CSRDijkstra:
@@ -235,9 +179,9 @@ class _CSRDijkstra:
     search fills fresh rows, so results can be handed out without copying
     and no workspace needs restoring between runs.  The adjacency is held
     as one tuple of ``(neighbor, weight)`` pairs per node — iterating
-    pre-paired tuples beats ``indptr`` range walks with double indexing,
-    and plain Python lists/tuples index faster from the interpreter loop
-    than ``array('q')``/``array('d')``, which re-box every element on read.
+    pre-paired tuples beats index-range walks with double indexing, and
+    plain Python lists/tuples index faster from the interpreter loop than
+    typed arrays, which re-box every element on read.
     """
 
     __slots__ = ("_nodes", "_index", "_adj", "_size")

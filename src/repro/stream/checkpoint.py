@@ -305,6 +305,11 @@ def load_checkpoint(path: str) -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 # restore
 # ----------------------------------------------------------------------
+#: The sections :func:`restore_into` reads; ``obs`` and ``emitter`` are
+#: optional.
+_REQUIRED_SECTIONS = ("network", "active", "heap", "stream", "stats", "algorithm")
+
+
 def restore_into(engine: StreamEngine, document: Dict[str, Any]) -> None:
     """Replay a checkpoint document into a freshly built engine.
 
@@ -314,6 +319,11 @@ def restore_into(engine: StreamEngine, document: Dict[str, Any]) -> None:
     records them) and must not have processed anything yet.  After this
     call the engine's next ``run()`` continues the original decision
     sequence bit-for-bit.
+
+    Raises:
+        CheckpointError: before anything is restored, if the engine is
+            not fresh or has a failure schedule, or if the document lacks
+            a required section.
     """
     _require_failure_free(engine)
     if engine.stats.processed:
@@ -321,6 +331,9 @@ def restore_into(engine: StreamEngine, document: Dict[str, Any]) -> None:
             "restore target must be a fresh engine (it has already "
             f"processed {engine.stats.processed} arrivals)"
         )
+    for section in _REQUIRED_SECTIONS:
+        if section not in document:
+            raise CheckpointError(f"checkpoint has no {section!r} section")
     network = engine.algorithm.network
     link_residuals = {}
     link_up = {}

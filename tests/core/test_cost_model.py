@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     ExponentialCostModel,
@@ -13,6 +15,8 @@ from repro.core import (
 from repro.core.cost_model import TIE_BREAK_SCALE
 from repro.exceptions import InvalidWeightError
 from repro.graph import compile_csr
+from repro.network import build_sdn
+from repro.topology import waxman_graph
 
 
 def first_edge(network):
@@ -130,6 +134,55 @@ def load_and_fail(network):
     network.fail_link(*edges[7])
 
 
+#: The network mutations the incremental-pricing property draws from.
+NETWORK_STEPS = (
+    "allocate", "release", "fail", "recover", "snapshot", "restore", "reset"
+)
+
+
+class NetworkSteps:
+    """Applies drawn steps to a network, keeping every step legal.
+
+    Bookings are remembered so a release never returns more than was
+    allocated, and a restore brings back the bookings of its snapshot.
+    """
+
+    def __init__(self, network):
+        self.network = network
+        self.edges = [edge[:2] for edge in network.graph.edges()]
+        self.bookings = []
+        self.saved = (network.snapshot(), [])
+
+    def residual_of(self, pick):
+        return self.network.link(*self.edges[pick % len(self.edges)]).residual
+
+    def apply(self, kind, pick, fraction):
+        network = self.network
+        u, v = self.edges[pick % len(self.edges)]
+        link = network.link(u, v)
+        if kind == "allocate" and link.up:
+            amount = fraction * link.residual
+            network.allocate_bandwidth(u, v, amount)
+            self.bookings.append((u, v, amount))
+        elif kind == "release" and self.bookings:
+            network.release_bandwidth(
+                *self.bookings.pop(pick % len(self.bookings))
+            )
+        elif kind == "fail":
+            network.fail_link(u, v)
+        elif kind == "recover":
+            network.recover_link(u, v)
+        elif kind == "snapshot":
+            self.saved = (network.snapshot(), list(self.bookings))
+        elif kind == "restore":
+            snapshot, bookings = self.saved
+            network.restore(snapshot)
+            self.bookings = list(bookings)
+        elif kind == "reset":
+            network.reset()
+            self.bookings = []
+
+
 class CountingModel(ExponentialCostModel):
     """Exponential pricing that counts its link-price calls."""
 
@@ -167,16 +220,68 @@ class TestLinkPrices:
             assert prices.price[link_id] == model.edge_weight(small_network, u, v)
 
     def test_links_are_priced_once_per_epoch(self, small_network):
-        prices = LinkPrices(CountingModel(), small_network)
-        links = small_network.graph.num_edges
-        CountingModel.calls = 0
+        """A refresh re-prices only the links whose state changed."""
+        network = small_network
+        prices = LinkPrices(CountingModel(), network)
+        edges = [edge[:2] for edge in network.graph.edges()]
+        server = network.server_nodes[0]
+
+        def calls_after(change, *args):
+            CountingModel.calls = 0
+            change(*args)
+            prices.priced_csr(10.0)
+            prices.priced_csr(80.0)
+            return CountingModel.calls
+
+        assert calls_after(lambda: None) == network.graph.num_edges
+        assert calls_after(lambda: None) == 0
+        snapshot = network.snapshot()
+        assert calls_after(network.allocate_bandwidth, *edges[0], 1.0) == 1
+        assert calls_after(network.fail_link, *edges[1]) == 1
+        assert calls_after(network.recover_link, *edges[1]) == 1
+        assert calls_after(network.allocate_compute, server, 1.0) == 0
+        assert calls_after(network.restore, snapshot) == 1
+
+        network.allocate_bandwidth(*edges[2], 1.0)
+        network.allocate_bandwidth(*edges[3], 1.0)
+        network.fail_link(*edges[4])
         prices.priced_csr(10.0)
-        prices.priced_csr(80.0)
-        assert CountingModel.calls == links
-        u, v = first_edge(small_network)
-        small_network.allocate_bandwidth(u, v, 1.0)
-        prices.priced_csr(10.0)
-        assert CountingModel.calls == 2 * links
+        assert calls_after(network.reset) == 3
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        model=st.sampled_from(
+            [ExponentialCostModel(), LinearCostModel(), UtilizationCostModel()]
+        ),
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from(NETWORK_STEPS),
+                st.integers(0, 1_000),
+                st.floats(0.05, 1.0),
+            ),
+            min_size=1,
+            max_size=25,
+        ),
+    )
+    def test_incremental_prices_equal_fresh_prices(self, model, steps):
+        """After any step, the kept prices are a fresh pricing, bit for bit."""
+        graph, _ = waxman_graph(12, alpha=0.6, beta=0.4, seed=5)
+        network = build_sdn(graph, seed=5, bandwidth_range=(100.0, 400.0))
+        prices = LinkPrices(model, network)
+        mutator = NetworkSteps(network)
+        for step in steps:
+            mutator.apply(*step)
+            csr = prices.priced_csr()
+            fresh = LinkPrices(model, network)
+            fresh.priced_csr()
+            assert [p.hex() for p in prices.price] == [
+                p.hex() for p in fresh.price
+            ]
+            assert csr.epoch == network.epoch
+            for bandwidth in (0.0, 60.0, mutator.residual_of(step[1])):
+                assert prices.priced_csr(bandwidth).adjacency() == compile_csr(
+                    model.weight_graph(network, bandwidth)
+                ).adjacency()
 
     def test_kept_invalid_weight_raises_like_compile(self, small_network):
         class BrokenModel(ExponentialCostModel):

@@ -23,8 +23,9 @@ rewrite to the seed behaviour over a bank of seeded random instances:
    ``Online_CP`` matches its dict-graph reference decide
    (``OnlineCPReference``, trees from the dict ``dijkstra`` oracle) on a
    twin network, over churn with departures, congestion that triggers
-   every reject reason and both skips of the bounded candidate sweep, and
-   topologies where every unit cost is equal; and
+   every reject reason and both skips of the bounded candidate sweep,
+   links that fail and recover between arrivals, and topologies where
+   every unit cost is equal; and
    the ``Online_CP_K`` admission series matches a run whose every
    shortest-path tree comes from the dict ``dijkstra`` oracle instead of
    the CSR kernel.
@@ -344,13 +345,13 @@ class TestBackendIdentity:
             try_allocate(network, tree)
 
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("kind", ["cp", "cp-n24", "cpk"])
+    @pytest.mark.parametrize("kind", ["cp", "cp-n24", "cpk", "cp-fail"])
     def test_online_admission_series_bit_identical(
         self, seed, kind, monkeypatch
     ):
         if kind in TWIN_SIZES:
             production, oracle, _ = online_cp_twin_series(
-                seed, TWIN_SIZES[kind]
+                seed, TWIN_SIZES[kind], failures=kind == "cp-fail"
             )
             assert len(production) >= 80
             assert production == oracle
@@ -415,8 +416,12 @@ class TestBackendIdentity:
 #: arrival (repeated, so bursts of departures happen too).
 TWIN_REQUESTS = 80
 TWIN_DEPARTURE_CHANCE = 0.3
+#: With failures, the chance before each arrival that a random link fails,
+#: and that a random failed link recovers.
+TWIN_FAILURE_CHANCE = 0.25
+TWIN_RECOVERY_CHANCE = 0.3
 #: Twin network size per ``Online_CP`` kind of the series test.
-TWIN_SIZES = {"cp": 16, "cp-n24": 24}
+TWIN_SIZES = {"cp": 16, "cp-n24": 24, "cp-fail": 16}
 
 
 def congested_twin(seed, nodes):
@@ -443,19 +448,29 @@ def congested_twin(seed, nodes):
     return network, request_seq
 
 
-def departing_series(algorithm, request_seq, seed):
+def departing_series(algorithm, request_seq, seed, failures=False):
     """Decide ``request_seq`` with seeded random departures in between.
 
     Records every decision bitwise: verdict, reason, selection weight and
     the admitted pseudo-tree.  The departures depend only on the seed and
-    the decisions so far, so twins depart alike until they diverge.
+    the decisions so far, so twins depart alike until they diverge.  With
+    ``failures``, random links also fail and recover before arrivals; a
+    booking on a failed link stays until its request departs.
     """
     rng = random.Random(seed)
+    network = algorithm.network
+    edges = [edge[:2] for edge in network.graph.edges()]
     active = []
     out = []
     for request in request_seq:
         while active and rng.random() < TWIN_DEPARTURE_CHANCE:
             algorithm.depart(active.pop(rng.randrange(len(active))))
+        if failures and rng.random() < TWIN_FAILURE_CHANCE:
+            network.fail_link(*rng.choice(edges))
+        if failures and rng.random() < TWIN_RECOVERY_CHANCE:
+            down = network.failed_links()
+            if down:
+                network.recover_link(*rng.choice(down))
         decision = algorithm.process(request)
         if decision.admitted:
             active.append(request.request_id)
@@ -469,19 +484,21 @@ def departing_series(algorithm, request_seq, seed):
 
 
 @functools.lru_cache(maxsize=None)
-def online_cp_twin_series(seed, nodes):
+def online_cp_twin_series(seed, nodes, failures=False):
     """``(flat series, reference series, flat counters)`` on twin networks.
 
     The reference decides on dict graphs with every shortest-path tree
     served by the dict ``dijkstra`` oracle.  The counters are the obs
-    deltas of the flat run.
+    deltas of the flat run.  ``failures`` is :func:`departing_series`'s.
     """
     network, request_seq = congested_twin(seed, nodes)
     was_enabled = obs.enabled()
     obs.enable()
     before = obs.counters()
     try:
-        production = departing_series(OnlineCP(network), request_seq, seed)
+        production = departing_series(
+            OnlineCP(network), request_seq, seed, failures
+        )
         counters = obs.counters_since(before)
     finally:
         if not was_enabled:
@@ -489,7 +506,9 @@ def online_cp_twin_series(seed, nodes):
     with pytest.MonkeyPatch.context() as patch:
         calls = serve_trees_from_dict_dijkstra(patch)
         twin, _ = congested_twin(seed, nodes)
-        oracle = departing_series(OnlineCPReference(twin), request_seq, seed)
+        oracle = departing_series(
+            OnlineCPReference(twin), request_seq, seed, failures
+        )
     assert calls[0] > 0
     return production, oracle, counters
 

@@ -134,12 +134,9 @@ def test_from_adjacency_equals_compiled_view():
     """A view built from rows searches exactly like the compiled one."""
     graph = _ladder()
     compiled = compile_csr(graph, epoch=3)
-    rebuilt = CSRGraph.from_adjacency(
-        compiled.nodes, compiled.index, compiled.adjacency(), epoch=3
-    )
-    assert list(rebuilt.indptr) == list(compiled.indptr)
-    assert list(rebuilt.indices) == list(compiled.indices)
-    assert list(rebuilt.weights) == list(compiled.weights)
+    rows = list(compiled.adjacency())
+    rebuilt = CSRGraph(compiled.nodes, compiled.index, rows, epoch=3)
+    assert rebuilt.adjacency() == compiled.adjacency()
     assert rebuilt.num_edges == compiled.num_edges and rebuilt.epoch == 3
     for source in graph.nodes():
         assert_trees_identical(
@@ -288,12 +285,15 @@ def test_csr_structure_invariants(graph):
     n = len(list(graph.nodes()))
     assert csr.num_nodes == n
     assert csr.epoch == 7
-    assert len(csr.indptr) == n + 1
-    assert csr.indptr[0] == 0
-    assert list(csr.indptr) == sorted(csr.indptr)  # monotone
-    assert csr.indptr[-1] == len(csr.indices) == len(csr.weights)
-    # every undirected edge appears once per endpoint
-    assert csr.num_edges == sum(1 for _ in graph.edges())
+    rows = csr.adjacency()
+    assert len(rows) == n
+    # every undirected edge appears once per endpoint, with equal weights
+    entries = {
+        (i, j): weight for i, row in enumerate(rows) for j, weight in row
+    }
+    assert len(entries) == sum(map(len, rows))
+    assert all(entries[j, i] == weight for (i, j), weight in entries.items())
+    assert csr.num_edges == sum(1 for _ in graph.edges()) == len(entries) // 2
     # interning is insertion order, index is its inverse
     assert csr.nodes == list(graph.nodes())
     assert all(csr.nodes[i] == node for node, i in csr.index.items())

@@ -140,6 +140,23 @@ class TestValidation:
         with pytest.raises(CheckpointError):
             restore_into(used, document)
 
+    @pytest.mark.parametrize(
+        "section", ["network", "active", "heap", "stream", "stats", "algorithm"]
+    )
+    def test_restore_refuses_missing_section_before_touching(self, section):
+        config = small_config(requests=40)
+        donor = build_engine(config)
+        donor.run(max_events=20)
+        document = capture(donor, meta=config.as_dict())
+        del document[section]
+
+        fresh = build_engine(config)
+        before = fresh.algorithm.network.snapshot()
+        assert donor.algorithm.network.snapshot() != before
+        with pytest.raises(CheckpointError, match=repr(section)):
+            restore_into(fresh, document)
+        assert fresh.algorithm.network.snapshot() == before
+
     def test_failure_schedule_cannot_be_checkpointed(self):
         # format v1 records no failure state (pending recoveries, dropped
         # requests, repaired trees), so both directions must refuse
