@@ -100,21 +100,3 @@ def test_online_cpk_decision(benchmark):
 
     decision = benchmark(decide)
     assert decision.admitted
-
-
-def test_delay_aware_solve(benchmark):
-    from repro.core import delay_aware_multicast
-
-    network, request = make_instance(100)
-    solution = benchmark(delay_aware_multicast, network, request, 40.0)
-    assert solution.worst_delay_ms <= 40.0
-
-
-def test_larac_kernel(benchmark):
-    from repro.graph import larac_path, proportional_delays
-
-    graph = gt_itm_flat(150, seed=4)
-    delays = proportional_delays(graph)
-    nodes = sorted(graph.nodes())
-    path = benchmark(larac_path, graph, delays, nodes[0], nodes[-1], 25.0)
-    assert path[0] == nodes[0]

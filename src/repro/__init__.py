@@ -32,7 +32,6 @@ from repro.core import (
     alg_one_server,
     appro_multi,
     appro_multi_cap,
-    delay_aware_multicast,
     operational_cost,
     validate_pseudo_tree,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "OnlineCP",
     "OnlineCPK",
     "SPOnline",
-    "delay_aware_multicast",
     "alg_one_server",
     "PseudoMulticastTree",
     "operational_cost",

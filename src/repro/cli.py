@@ -7,7 +7,7 @@ Examples::
     python -m repro.cli all --profile paper --output EXPERIMENTS.md
     python -m repro.cli fig5 --profile --metrics-out metrics.json
     python -m repro.cli bench
-    python -m repro.cli bench --target csr --quick
+    python -m repro.cli bench --target stream --quick
     python -m repro.cli demo
     python -m repro.cli stream --requests 10000 --out run.jsonl \
         --trace run.trace.json --dashboard
@@ -61,20 +61,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bench = subparsers.add_parser(
         "bench",
-        help="micro-benchmarks (telemetry overhead, spcache, CSR engine)",
+        help="benchmarks (telemetry overhead, stream scale run)",
     )
     bench.add_argument(
         "--target",
-        choices=("obs", "spcache", "csr", "appro", "stream-obs", "stream"),
+        choices=("obs", "stream-obs", "stream"),
         default="obs",
         help=(
             "what to measure: 'obs' telemetry overhead (default), "
-            "'spcache' cached vs uncached solver, 'csr' compiled vs dict "
-            "Dijkstra engine, 'appro' end-to-end dict-path vs CSR-native "
-            "Appro_Multi (merges into BENCH_csr.json), 'stream-obs' the "
-            "streaming run with histograms + emitter enabled (merges into "
-            "BENCH_obs.json), 'stream' the StreamEngine scale run "
-            "(throughput, RSS flatness, resume + shard differentials)"
+            "'stream-obs' the streaming run with histograms + emitter "
+            "enabled (merges into BENCH_obs.json), 'stream' the "
+            "StreamEngine scale run (throughput, RSS flatness, resume + "
+            "shard differentials)"
         ),
     )
     bench.add_argument(
@@ -85,13 +83,13 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--requests", type=int, default=None,
         help=(
-            "batch size for obs/spcache/appro targets (default 40) or "
-            "stream length for stream-obs (default 2000)"
+            "batch size for the obs target (default 40) or stream length "
+            "for stream-obs (default 2000) and stream (default 1,000,000)"
         ),
     )
     bench.add_argument(
         "--rounds", type=int, default=None,
-        help="timing rounds (default: 3, or 7 for --target csr)",
+        help="timing rounds (default: 3)",
     )
     bench.add_argument(
         "--quick",
@@ -534,34 +532,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "bench":
         from repro.obs import bench
 
-        output = args.output or {
-            "appro": "BENCH_csr.json",
-            "stream-obs": "BENCH_obs.json",
-        }.get(args.target, f"BENCH_{args.target}.json")
-        batch = args.requests or bench.DEFAULT_REQUESTS
+        # stream-obs merges its section into the obs target's artifact
+        output = args.output or (
+            "BENCH_obs.json"
+            if args.target == "stream-obs"
+            else f"BENCH_{args.target}.json"
+        )
         if args.target == "obs":
             payload = bench.run_obs_benchmark(
                 output_path=output,
-                requests=batch,
+                requests=args.requests or bench.DEFAULT_REQUESTS,
                 rounds=args.rounds or bench.DEFAULT_ROUNDS,
             )
             lines = bench.render_bench_summary(payload)
-        elif args.target == "spcache":
-            payload = bench.run_spcache_benchmark(
-                output_path=output,
-                requests=batch,
-                rounds=args.rounds or bench.DEFAULT_ROUNDS,
-                quick=args.quick,
-            )
-            lines = bench.render_speedup_summary(payload)
-        elif args.target == "appro":
-            payload = bench.run_appro_benchmark(
-                output_path=output,
-                requests=batch,
-                rounds=args.rounds or bench.DEFAULT_APPRO_ROUNDS,
-                quick=args.quick,
-            )
-            lines = bench.render_speedup_summary(payload)
         elif args.target == "stream":
             from repro.stream import bench as stream_bench
 
@@ -571,7 +554,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 quick=args.quick,
             )
             lines = stream_bench.render_stream_scale_summary(payload)
-        elif args.target == "stream-obs":
+        else:
             payload = bench.run_stream_benchmark(
                 output_path=output,
                 requests=args.requests or bench.DEFAULT_STREAM_REQUESTS,
@@ -579,13 +562,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 quick=args.quick,
             )
             lines = bench.render_stream_summary(payload)
-        else:
-            payload = bench.run_csr_benchmark(
-                output_path=output,
-                rounds=args.rounds or bench.DEFAULT_CSR_ROUNDS,
-                quick=args.quick,
-            )
-            lines = bench.render_speedup_summary(payload)
         for line in lines:
             print(line)
         print(f"wrote {output}")

@@ -44,10 +44,6 @@ from repro.core.cost_model import (
     LinkPrices,
     UtilizationCostModel,
 )
-from repro.core.delay_aware import (
-    DelayAwareSolution,
-    delay_aware_multicast,
-)
 from repro.core.fasteval import (
     CSRCombinationEvaluator,
     CSRSubsetSolution,
@@ -83,8 +79,6 @@ __all__ = [
     "OnlineCP",
     "OnlineCPK",
     "OnlineCPReference",
-    "DelayAwareSolution",
-    "delay_aware_multicast",
     "SPOnline",
     "alg_one_server",
     "OnlineAlgorithm",

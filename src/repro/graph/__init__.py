@@ -7,14 +7,6 @@ trees with LCA, and connectivity utilities — implemented on a lightweight
 adjacency-list :class:`Graph` with no third-party dependencies.
 """
 
-from repro.graph.constrained import (
-    DelayBoundInfeasibleError,
-    exact_constrained_path,
-    larac_path,
-    path_delay,
-    proportional_delays,
-    uniform_delays,
-)
 from repro.graph.components import (
     bfs_reachable,
     component_containing,
@@ -81,12 +73,6 @@ __all__ = [
     "edges_of_path",
     "path_weight",
     "bfs_reachable",
-    "DelayBoundInfeasibleError",
-    "larac_path",
-    "exact_constrained_path",
-    "path_delay",
-    "uniform_delays",
-    "proportional_delays",
     "component_containing",
     "component_index",
     "connected_components",

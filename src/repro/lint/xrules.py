@@ -386,15 +386,11 @@ class TransitiveSinkReach(CrossRule):
 
 
 #: Sanctioned algorithm layers whose *suppressed* raw searches are their
-#: documented implementation (the LARAC delay-constrained search, the
-#: reference ``G_k^i`` construction).  They absorb RL001 transitivity:
-#: calling them is the architecture, so the flag must not propagate to
-#: every solver that does.  A brand-new helper wrapping ``dijkstra()``
-#: is NOT on this list and does infect its callers.
-_RL001_ABSORBING = (
-    "repro/core/auxiliary.py",
-    "repro/graph/constrained.py",
-)
+#: documented implementation (the reference ``G_k^i`` construction).  They
+#: absorb RL001 transitivity: calling them is the architecture, so the
+#: flag must not propagate to every solver that does.  A brand-new helper
+#: wrapping ``dijkstra()`` is NOT on this list and does infect its callers.
+_RL001_ABSORBING = ("repro/core/auxiliary.py",)
 
 
 def _rl001_exempt(module_key: str) -> bool:

@@ -38,8 +38,6 @@ class LinkState:
         capacity: total bandwidth ``B_e`` in Mbps.
         unit_cost: usage cost ``c_e`` per Mbps (drives the operational cost).
         residual: currently unallocated bandwidth ``B_e(k)``.
-        delay: propagation delay in milliseconds (used by the
-            delay-constrained extension; defaults to 1 ms).
         up: whether the link is operational.  A failed link carries no new
             traffic (``can_allocate`` is ``False``) but keeps its residual
             bookkeeping, so trees routed over it before the failure can
@@ -50,7 +48,6 @@ class LinkState:
     capacity: float
     unit_cost: float
     residual: float = field(default=-1.0)
-    delay: float = 1.0
     up: bool = True
 
     def __post_init__(self) -> None:
@@ -58,8 +55,6 @@ class LinkState:
             raise ValueError(f"link capacity must be positive: {self.capacity}")
         if self.unit_cost < 0:
             raise ValueError(f"link unit cost must be >= 0: {self.unit_cost}")
-        if self.delay < 0:
-            raise ValueError(f"link delay must be >= 0: {self.delay}")
         if self.residual < 0:
             self.residual = self.capacity
 

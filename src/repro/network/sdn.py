@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.exceptions import (
     EdgeNotFoundError,
@@ -51,6 +51,17 @@ class NetworkSnapshot:
 
     link_residuals: Dict[Tuple[Node, Node], float]
     server_residuals: Dict[Node, float]
+
+
+def _check_residual(
+    kind: str, key: object, residual: float, capacity: float
+) -> None:
+    """Refuse a snapshot residual outside ``[0, capacity]``."""
+    if not 0.0 <= residual <= capacity:
+        raise NetworkModelError(
+            f"{kind} {key!r} residual {residual!r} is outside "
+            f"[0, {capacity!r}]"
+        )
 
 
 class SDNetwork:
@@ -136,20 +147,6 @@ class SDNetwork:
     def link_unit_cost(self, u: Node, v: Node) -> float:
         """``c_e``: cost of one Mbps on link ``(u, v)``."""
         return self.link(u, v).unit_cost
-
-    def link_delay(self, u: Node, v: Node) -> float:
-        """Propagation delay of link ``(u, v)`` in milliseconds."""
-        return self.link(u, v).delay
-
-    def delay_map(self) -> Dict[Tuple[Node, Node], float]:
-        """All link delays keyed by canonical edge, for the path solvers."""
-        return {key: state.delay for key, state in self._links.items()}
-
-    def path_delay(self, path: Sequence[Node]) -> float:
-        """Total propagation delay along a node path."""
-        return sum(
-            self.link(u, v).delay for u, v in zip(path, path[1:])
-        )
 
     def server_unit_cost(self, node: Node) -> float:
         """``c_v``: cost of one MHz on the server at ``node``."""
@@ -373,11 +370,24 @@ class SDNetwork:
         )
 
     def restore(self, snapshot: NetworkSnapshot) -> None:
-        """Reset all residuals to a previously captured snapshot."""
+        """Reset all residuals to a previously captured snapshot.
+
+        Raises:
+            NetworkModelError: before changing anything, if the snapshot
+                names other links or servers than this network's, or holds
+                a residual outside ``[0, capacity]`` (``allocate`` and
+                ``release`` clamp every residual to that range).
+        """
         if set(snapshot.link_residuals) != set(self._links) or set(
             snapshot.server_residuals
         ) != set(self._servers):
             raise NetworkModelError("snapshot does not match this network")
+        for key, residual in snapshot.link_residuals.items():
+            _check_residual("link", key, residual, self._links[key].capacity)
+        for node, residual in snapshot.server_residuals.items():
+            _check_residual(
+                "server", node, residual, self._servers[node].capacity
+            )
         for key, residual in snapshot.link_residuals.items():
             self._links[key].residual = residual
         for node, residual in snapshot.server_residuals.items():
@@ -486,9 +496,6 @@ def build_sdn(
             endpoints=edge_key(u, v),
             capacity=rng.uniform(*bandwidth_range),
             unit_cost=unit_cost,
-            # topology weights live in a [1, 10] distance band; read them as
-            # propagation milliseconds for the delay-aware extension
-            delay=weight,
         )
 
     servers = {

@@ -1,34 +1,16 @@
 """The benchmark targets behind ``repro bench``.
 
-Targets, selected with ``--target``:
+Targets, selected with ``--target`` (the ``stream`` scale run lives in
+:mod:`repro.stream.bench`):
 
 ``obs`` (default)
-    Runs the same batch as ``benchmarks/test_spcache.py`` — ``Appro_Multi``
-    over a seeded request set on the GÉANT topology — twice: once with
-    telemetry **disabled**, timed best-of-``rounds`` (this records the
-    ``disabled_baseline_seconds`` that the CI overhead guard
-    ``benchmarks/test_obs_overhead.py`` holds instrumented code to), and
-    once with telemetry **enabled** to harvest the phase-timer hierarchy
-    and counter totals.  Writes ``BENCH_obs.json``.
-
-``spcache``
-    Cached vs uncached ``Appro_Multi`` on the GÉANT batch — the same
-    comparison as ``benchmarks/test_spcache.py``, runnable from the CLI.
-    Writes ``BENCH_spcache.json``.
-
-``csr``
-    The dict Dijkstra engine vs the compiled CSR engine
-    (:mod:`repro.graph.csr`) on all-origins shortest-path sweeps: the
-    GÉANT figure-series topology plus a 500-node Erdős–Rényi scaling
-    case.  Rounds are interleaved (dict sweep, then CSR sweep, per round)
-    so both engines sample the same machine noise; the minimum round per
-    engine is reported.  Writes ``BENCH_csr.json``.
-
-``appro``
-    End-to-end ``Appro_Multi``: the seed engine
-    (:func:`repro.core.appro_multi_reference`, dict auxiliary graphs and
-    dict Dijkstra) vs the CSR-native core, with a tree-identity check.
-    Merges an ``"appro"`` section into ``BENCH_csr.json``.
+    Runs ``Appro_Multi`` over a seeded request batch on the GÉANT
+    topology twice: once with telemetry **disabled**, timed
+    best-of-``rounds`` (this records the ``disabled_baseline_seconds``
+    that the CI overhead guard ``benchmarks/test_obs_overhead.py`` holds
+    instrumented code to), and once with telemetry **enabled** to harvest
+    the phase-timer hierarchy and counter totals.  Writes
+    ``BENCH_obs.json``.
 
 ``stream-obs``
     The streaming-telemetry contract: an ``Online_CP`` arrival stream on
@@ -38,8 +20,7 @@ Targets, selected with ``--target``:
 
 Run from the CLI::
 
-    python -m repro.cli bench [--target obs|spcache|csr|appro|stream-obs]
-        [--quick]
+    python -m repro.cli bench [--target obs|stream-obs|stream] [--quick]
 """
 
 from __future__ import annotations
@@ -50,7 +31,7 @@ from typing import Dict, List, Optional
 
 from repro import obs
 
-#: Defaults mirror benchmarks/test_spcache.py so the artifacts compare.
+#: The ``obs`` batch: a seeded GÉANT request set, timed best of ``rounds``.
 DEFAULT_REQUESTS = 40
 DEFAULT_ROUNDS = 3
 DEFAULT_SEED = 20170605  # ICDCS 2017
@@ -342,397 +323,3 @@ def render_stream_summary(payload: Dict) -> List[str]:
         f"admitted: disabled {payload['disabled_admitted']} / "
         f"enabled {payload['enabled_admitted']} (must match)",
     ]
-
-
-# --------------------------------------------------------------------------
-# ``--target spcache``: cached vs uncached Appro_Multi (BENCH_spcache.json)
-# --------------------------------------------------------------------------
-
-#: Required speedup of the cached engine over the seed engine (matches
-#: ``benchmarks/test_spcache.py``).
-MIN_SPCACHE_SPEEDUP = 3.0
-
-
-def run_spcache_benchmark(
-    output_path: Optional[str] = "BENCH_spcache.json",
-    requests: int = DEFAULT_REQUESTS,
-    rounds: int = DEFAULT_ROUNDS,
-    seed: int = DEFAULT_SEED,
-    quick: bool = False,
-) -> Dict:
-    """Time cached vs uncached ``Appro_Multi`` on the GÉANT batch.
-
-    Same comparison and artifact shape as ``benchmarks/test_spcache.py``;
-    ``quick`` shrinks the batch for CI smoke runs (the speedup is still
-    reported, just noisier).
-    """
-    from repro.core import appro_multi, appro_multi_reference
-
-    if quick:
-        requests = min(requests, 12)
-        rounds = min(rounds, 2)
-    network, batch = _batch(requests, seed)
-
-    def _time_engine(solver):
-        best = float("inf")
-        costs: List[float] = []
-        for _ in range(rounds):
-            round_costs = []
-            start = time.perf_counter()
-            for request in batch:
-                tree = solver(network, request, max_servers=3)
-                round_costs.append(tree.total_cost)
-            best = min(best, time.perf_counter() - start)
-            costs = round_costs
-        return best, costs
-
-    reference_time, reference_costs = _time_engine(appro_multi_reference)
-    cached_time, cached_costs = _time_engine(appro_multi)
-    mismatches = sum(
-        1
-        for a, b in zip(cached_costs, reference_costs)
-        if abs(a - b) > 1e-9 * max(abs(a), abs(b), 1.0)
-    )
-    payload = {
-        "topology": TOPOLOGY,
-        "requests": requests,
-        "max_servers": 3,
-        "seed": seed,
-        "rounds": rounds,
-        "quick": quick,
-        "timing": "best-of-rounds, whole batch, seconds",
-        "reference_seconds": reference_time,
-        "cached_seconds": cached_time,
-        "speedup": (
-            reference_time / cached_time if cached_time > 0 else float("inf")
-        ),
-        "min_speedup_required": MIN_SPCACHE_SPEEDUP,
-        "cost_mismatches": mismatches,
-    }
-    if output_path:
-        with open(output_path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    return payload
-
-
-# --------------------------------------------------------------------------
-# ``--target csr``: dict vs compiled-CSR Dijkstra sweeps (BENCH_csr.json)
-# --------------------------------------------------------------------------
-
-#: Required speedup of the CSR engine over the dict engine on each case.
-MIN_CSR_SPEEDUP = 2.0
-
-#: Sweep repetitions per timing round.  GEANT is small, so one sweep is
-#: near timer resolution; 8 sweeps per round keeps each timed window
-#: around 10–30 ms — long enough to time, short enough that a background
-#: scheduling spike lands inside a single round and the best-of-rounds
-#: minimum dodges it.
-GEANT_REPS = 8
-
-#: Origins swept per round on the ER500 case.  A full 500-origin sweep is
-#: a ~1 s window on the dict engine — too exposed to interference for a
-#: minimum estimator; 100 origins over the same 500-node graph keep the
-#: scaling behavior and a ~200 ms window.
-ER500_ORIGINS = 100
-
-DEFAULT_CSR_ROUNDS = 12
-
-
-def _dict_sweep(graph, origins):
-    """One all-origins sweep on the dict engine (the benchmark baseline)."""
-    from repro.graph import dijkstra
-
-    return [dijkstra(graph, o) for o in origins]  # repro-lint: disable=RL001 — benchmark baseline must bypass the cache to time the raw engine
-
-
-def _csr_sweep(csr, origins):
-    """One all-origins sweep on the compiled CSR engine."""
-    from repro.graph import dijkstra_many
-
-    return dijkstra_many(csr, origins)  # repro-lint: disable=RL001 — benchmark measures the raw CSR kernel, not the cache
-
-
-def _csr_case(name: str, graph, origins, reps: int, rounds: int) -> Dict:
-    """Interleaved best-of-rounds timing of both engines on one topology.
-
-    Per round: one timed dict sweep then one timed CSR sweep, so both
-    engines sample the same machine noise; the minimum round per engine is
-    the reported time.  The CSR view is compiled (and its hot mirror
-    built) outside the timed region — that cost is once-per-epoch in
-    production and is reported separately as ``compile_seconds``.
-    """
-    from repro.graph import compile_csr
-
-    origins = list(origins)
-    start = time.perf_counter()
-    csr = compile_csr(graph)
-    csr.engine()
-    compile_seconds = time.perf_counter() - start
-
-    dict_best = csr_best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        for _ in range(reps):
-            _dict_sweep(graph, origins)
-        dict_best = min(dict_best, time.perf_counter() - start)
-        start = time.perf_counter()
-        for _ in range(reps):
-            _csr_sweep(csr, origins)
-        csr_best = min(csr_best, time.perf_counter() - start)
-
-    # Identity outside the timed region: a fast wrong answer is no speedup.
-    csr_trees = _csr_sweep(csr, origins)
-    mismatches = sum(
-        1
-        for origin, dict_tree in zip(origins, _dict_sweep(graph, origins))
-        if (
-            dict_tree.distance != csr_trees[origin].distance  # repro-lint: disable=RL004 — the CSR contract is bit-identity, so exact equality is the point
-            or dict_tree.parent != csr_trees[origin].parent
-        )
-    )
-    return {
-        "name": name,
-        "nodes": graph.num_nodes,
-        "edges": graph.num_edges,
-        "origins": len(origins),
-        "reps": reps,
-        "compile_seconds": compile_seconds,
-        "dict_seconds": dict_best,
-        "csr_seconds": csr_best,
-        "speedup": dict_best / csr_best if csr_best > 0 else float("inf"),
-        "tree_mismatches": mismatches,
-    }
-
-
-def run_csr_benchmark(
-    output_path: Optional[str] = "BENCH_csr.json",
-    rounds: int = DEFAULT_CSR_ROUNDS,
-    seed: int = DEFAULT_SEED,
-    quick: bool = False,
-) -> Dict:
-    """Benchmark the CSR Dijkstra engine against the dict engine.
-
-    Two cases: the GÉANT figure-series topology (all-origins sweep,
-    repeated ``GEANT_REPS`` times per round) and a reweighted 500-node
-    Erdős–Rényi graph (one all-origins sweep per round).  ``quick`` trims
-    repetitions and the ER origin set for CI smoke runs.
-    """
-    import random
-
-    from repro.analysis.common import build_real_network
-    from repro.topology import erdos_renyi_graph
-
-    if quick:
-        rounds = min(rounds, 4)
-
-    network = build_real_network(TOPOLOGY, seed)
-    geant = network.graph
-    geant_case = _csr_case(
-        TOPOLOGY,
-        geant,
-        list(geant.nodes()),
-        reps=5 if quick else GEANT_REPS,
-        rounds=rounds,
-    )
-
-    er = erdos_renyi_graph(500, 0.02, seed=1)
-    # Unit weights make every path a tie; reweight with a seeded RNG so the
-    # scaling case exercises real priority-queue traffic.
-    rng = random.Random(seed)
-    for u, v, _ in list(er.edges()):
-        er.add_edge(u, v, 0.5 + rng.random())
-    er_origins = list(er.nodes())[: 40 if quick else ER500_ORIGINS]
-    er_case = _csr_case("ER500", er, er_origins, reps=1, rounds=rounds)
-
-    payload = {
-        "timing": (
-            "best-of-rounds, interleaved dict/CSR all-origins sweeps, "
-            "seconds per case"
-        ),
-        "rounds": rounds,
-        "seed": seed,
-        "quick": quick,
-        "min_speedup_required": MIN_CSR_SPEEDUP,
-        "cases": [geant_case, er_case],
-    }
-    if output_path:
-        # Preserve the end-to-end solver section written by
-        # ``run_appro_benchmark`` — both targets share this artifact.
-        try:
-            with open(output_path, "r", encoding="utf-8") as handle:
-                existing = json.load(handle)
-        except (OSError, ValueError):
-            existing = {}
-        if "appro" in existing:
-            payload["appro"] = existing["appro"]
-        with open(output_path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    return payload
-
-
-# --------------------------------------------------------------------------
-# ``--target appro``: dict-path vs CSR-native Appro_Multi (BENCH_csr.json)
-# --------------------------------------------------------------------------
-
-#: Required end-to-end speedup of the CSR-native ``Appro_Multi`` core over
-#: the dict path (``appro_multi_reference``: dict ``Graph`` auxiliary
-#: construction, metric closure, KMB, and MST per combination).
-MIN_APPRO_SPEEDUP = 5.0
-
-DEFAULT_APPRO_ROUNDS = 8
-
-
-def _trees_match(tree, reference) -> bool:
-    """The differential harness's engine-identity contract, per tree.
-
-    Structure must be exact — servers, server paths (dict order included),
-    distribution edges in ``edges()`` order — while costs compare at
-    relative 1e-12, matching ``tests/core/test_differential.py``: the seed
-    reference engine accumulates edge weights in a different order than
-    the memoized evaluator, so costs can differ in the last ulp.  (On one
-    shared context the CSR-native evaluator is bit-exact against the
-    reference ``evaluate_combination``, dict insertion order included; the
-    differential harness holds that.)
-    """
-    if (
-        tree.servers != reference.servers
-        or tuple(tree.server_paths.items())
-        != tuple(reference.server_paths.items())
-        # edge tuples, not floats: exact equality is the contract
-        or tree.distribution_edges != reference.distribution_edges  # repro-lint: disable=RL004
-    ):
-        return False
-    for a, b in (
-        (tree.bandwidth_cost, reference.bandwidth_cost),
-        (tree.compute_cost, reference.compute_cost),
-    ):
-        if abs(a - b) > 1e-12 * max(abs(a), abs(b), 1.0):
-            return False
-    return True
-
-
-def run_appro_benchmark(
-    output_path: Optional[str] = "BENCH_csr.json",
-    requests: int = DEFAULT_REQUESTS,
-    rounds: int = DEFAULT_APPRO_ROUNDS,
-    seed: int = DEFAULT_SEED,
-    quick: bool = False,
-) -> Dict:
-    """End-to-end ``Appro_Multi``: the seed engine vs the CSR-native core.
-
-    The seed engine is :func:`repro.core.appro_multi_reference` — dict
-    ``Graph`` auxiliary construction, fresh dict Dijkstra per origin, and
-    metric closure, KMB, and MST on every server combination.  The
-    CSR-native side is :func:`repro.core.appro_multi`: one epoch-stamped
-    compilation per request context, the flat combination sweep, and dict
-    decode only for the winner.
-
-    Rounds are interleaved (seed batch, then CSR batch, per round) so both
-    engines sample the same machine noise; each round rebuilds the network
-    so both sides run cold caches.  Tree identity is checked outside the
-    timed region, field for field including dict insertion order.
-
-    The result is merged into ``BENCH_csr.json`` under the ``"appro"`` key
-    (the sweep cases under ``"cases"`` are preserved).
-    """
-    from repro.core import appro_multi, appro_multi_reference
-
-    if quick:
-        requests = min(requests, 12)
-        rounds = min(rounds, 3)
-
-    dict_best = csr_best = float("inf")
-    for _ in range(rounds):
-        network, batch = _batch(requests, seed)
-        start = time.perf_counter()
-        for request in batch:
-            appro_multi_reference(network, request, max_servers=3)
-        dict_best = min(dict_best, time.perf_counter() - start)
-
-        network, batch = _batch(requests, seed)
-        start = time.perf_counter()
-        for request in batch:
-            appro_multi(network, request, max_servers=3)
-        csr_best = min(csr_best, time.perf_counter() - start)
-
-    # Identity outside the timed region: a fast wrong tree is no speedup.
-    # Compare the CSR-native decode against the seed engine.
-    network, batch = _batch(requests, seed)
-    dict_trees = [
-        appro_multi_reference(network, request, max_servers=3)
-        for request in batch
-    ]
-    network, batch = _batch(requests, seed)
-    mismatches = sum(
-        1
-        for request, reference in zip(batch, dict_trees)
-        if not _trees_match(
-            appro_multi(network, request, max_servers=3), reference
-        )
-    )
-
-    appro = {
-        "topology": TOPOLOGY,
-        "requests": requests,
-        "max_servers": 3,
-        "seed": seed,
-        "rounds": rounds,
-        "quick": quick,
-        "timing": (
-            "best-of-rounds, interleaved dict-path/CSR-native batches, "
-            "cold caches per round, seconds per batch"
-        ),
-        "dict_seconds": dict_best,
-        "csr_seconds": csr_best,
-        "dict_ms_per_request": dict_best / requests * 1e3,
-        "csr_ms_per_request": csr_best / requests * 1e3,
-        "speedup": dict_best / csr_best if csr_best > 0 else float("inf"),
-        "min_speedup_required": MIN_APPRO_SPEEDUP,
-        "tree_mismatches": mismatches,
-    }
-    if output_path:
-        payload: Dict = {}
-        try:
-            with open(output_path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except (OSError, ValueError):
-            payload = {}
-        payload["appro"] = appro
-        with open(output_path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    return appro
-
-
-def render_speedup_summary(payload: Dict) -> List[str]:
-    """Human-readable lines for the spcache / csr bench payloads."""
-    lines: List[str] = []
-    if "cases" in payload:  # csr target
-        for case in payload["cases"]:
-            lines.append(
-                f"{case['name']}: dict {case['dict_seconds']:.4f}s  "
-                f"csr {case['csr_seconds']:.4f}s  "
-                f"speedup {case['speedup']:.2f}x  "
-                f"(need >= {payload['min_speedup_required']}x, "
-                f"mismatches {case['tree_mismatches']})"
-            )
-    elif "tree_mismatches" in payload:  # appro target
-        lines.append(
-            f"Appro_Multi {payload['topology']}: "
-            f"dict path {payload['dict_ms_per_request']:.3f} ms/req  "
-            f"csr-native {payload['csr_ms_per_request']:.3f} ms/req  "
-            f"speedup {payload['speedup']:.2f}x  "
-            f"(need >= {payload['min_speedup_required']}x, "
-            f"mismatches {payload['tree_mismatches']})"
-        )
-    else:  # spcache target
-        lines.append(
-            f"reference {payload['reference_seconds']:.4f}s  "
-            f"cached {payload['cached_seconds']:.4f}s  "
-            f"speedup {payload['speedup']:.2f}x  "
-            f"(need >= {payload['min_speedup_required']}x, "
-            f"cost mismatches {payload['cost_mismatches']})"
-        )
-    return lines

@@ -38,7 +38,7 @@ import os
 import tempfile
 from typing import Any, Dict, Hashable, List, Optional
 
-from repro.exceptions import SimulationError
+from repro.exceptions import NetworkModelError, ReproError, SimulationError
 from repro.network.allocation import AllocationTransaction
 from repro.network.sdn import NetworkSnapshot
 from repro.nfv.functions import FunctionType
@@ -310,6 +310,18 @@ def load_checkpoint(path: str) -> Dict[str, Any]:
 _REQUIRED_SECTIONS = ("network", "active", "heap", "stream", "stats", "algorithm")
 
 
+def _check_keys(template: Any, value: Any, path: str) -> None:
+    """Refuse ``value`` if it lacks a key of ``template``'s nested objects."""
+    if not isinstance(template, dict):
+        return
+    if not isinstance(value, dict):
+        raise CheckpointError(f"checkpoint {path!r} is not an object")
+    for key, expected in template.items():
+        if key not in value:
+            raise CheckpointError(f"checkpoint {path!r} has no {key!r}")
+        _check_keys(expected, value[key], f"{path}.{key}")
+
+
 def restore_into(engine: StreamEngine, document: Dict[str, Any]) -> None:
     """Replay a checkpoint document into a freshly built engine.
 
@@ -322,8 +334,10 @@ def restore_into(engine: StreamEngine, document: Dict[str, Any]) -> None:
 
     Raises:
         CheckpointError: before anything is restored, if the engine is
-            not fresh or has a failure schedule, or if the document lacks
-            a required section.
+            not fresh or has a failure schedule, if the document lacks a
+            section or a key that the restore reads, holds a malformed
+            entry, or does not fit this network (other links or servers,
+            or a residual outside ``[0, capacity]``).
     """
     _require_failure_free(engine)
     if engine.stats.processed:
@@ -331,22 +345,42 @@ def restore_into(engine: StreamEngine, document: Dict[str, Any]) -> None:
             "restore target must be a fresh engine (it has already "
             f"processed {engine.stats.processed} arrivals)"
         )
+    # The fresh engine's own capture holds every key that the section
+    # readers below read, so it is the template a document must match.
+    template = capture(engine)
     for section in _REQUIRED_SECTIONS:
         if section not in document:
             raise CheckpointError(f"checkpoint has no {section!r} section")
+        _check_keys(template[section], document[section], section)
     network = engine.algorithm.network
-    link_residuals = {}
-    link_up = {}
-    for u_enc, v_enc, residual, up in document["network"]["links"]:
-        key = (decode_node(u_enc), decode_node(v_enc))
-        link_residuals[key] = float(residual)
-        link_up[key] = bool(up)
-    server_residuals = {}
-    server_up = {}
-    for node_enc, residual, up in document["network"]["servers"]:
-        node = decode_node(node_enc)
-        server_residuals[node] = float(residual)
-        server_up[node] = bool(up)
+    try:
+        link_residuals = {}
+        link_up = {}
+        for u_enc, v_enc, residual, up in document["network"]["links"]:
+            key = (decode_node(u_enc), decode_node(v_enc))
+            link_residuals[key] = float(residual)
+            link_up[key] = bool(up)
+        server_residuals = {}
+        server_up = {}
+        for node_enc, residual, up in document["network"]["servers"]:
+            node = decode_node(node_enc)
+            server_residuals[node] = float(residual)
+            server_up[node] = bool(up)
+        active = [
+            (_decode_request(encoded["request"]), _decode_active(encoded))
+            for encoded in document["active"]
+        ]
+        heap = {
+            "entries": [
+                [float(when), int(seq), decode_node(rid)]
+                for when, seq, rid in document["heap"]["entries"]
+            ],
+            "next_seq": int(document["heap"]["next_seq"]),
+        }
+        admitted_total = int(document["algorithm"]["admitted_total"])
+        rejected_total = int(document["algorithm"]["rejected_total"])
+    except (KeyError, IndexError, TypeError, ValueError, ReproError) as exc:
+        raise CheckpointError(f"checkpoint has a malformed entry: {exc!r}") from exc
     try:
         network.restore(
             NetworkSnapshot(
@@ -354,9 +388,9 @@ def restore_into(engine: StreamEngine, document: Dict[str, Any]) -> None:
                 server_residuals=server_residuals,
             )
         )
-    except Exception as exc:
+    except NetworkModelError as exc:
         raise CheckpointError(
-            f"checkpoint topology does not match this network: {exc}"
+            f"checkpoint does not fit this network: {exc}"
         ) from exc
     # A freshly built network is all-up; only transitions are needed.
     for (u, v), up in link_up.items():
@@ -370,9 +404,7 @@ def restore_into(engine: StreamEngine, document: Dict[str, Any]) -> None:
     # already reflected in the restored residuals, so each transaction
     # is *adopted* (no allocation happens) and handed to the algorithm;
     # controller rules are reinstalled from the recorded hops.
-    for encoded in document["active"]:
-        record = _decode_active(encoded)
-        request = _decode_request(encoded["request"])
+    for request, record in active:
         transaction = AllocationTransaction.adopt(
             network,
             record["bandwidth_ops"],
@@ -387,26 +419,14 @@ def restore_into(engine: StreamEngine, document: Dict[str, Any]) -> None:
             )
         engine.adopt_active(request.request_id, record)
 
-    engine.restore_heap(
-        {
-            "entries": [
-                [float(when), int(seq), decode_node(rid)]
-                for when, seq, rid in document["heap"]["entries"]
-            ],
-            "next_seq": document["heap"]["next_seq"],
-        }
-    )
+    engine.restore_heap(heap)
     engine.stream.restore(document["stream"])
     engine.stats.restore(document["stats"])
     # The base-class counters are restored in place: no public mutator
     # exists because nothing but a checkpoint may move them without a
     # decision.
-    engine.algorithm._admitted_total = int(
-        document["algorithm"]["admitted_total"]
-    )
-    engine.algorithm._rejected_total = int(
-        document["algorithm"]["rejected_total"]
-    )
+    engine.algorithm._admitted_total = admitted_total
+    engine.algorithm._rejected_total = rejected_total
     if document.get("obs") is not None and _obs_enabled():
         _obs_reset()
         _obs_merge(document["obs"])

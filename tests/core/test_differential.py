@@ -14,9 +14,10 @@ rewrite to the seed behaviour over a bank of seeded random instances:
    insertion order, the same float cost), and its cost equals KMB run on
    the *explicitly built* auxiliary graph, the slow construction the paper
    defines.
-3. **Approximation bound** — on instances small enough for the exact
-   Dreyfus–Wagner oracle, the returned cost is within the paper's ``2K``
-   factor of the auxiliary-graph optimum (Theorem 1).
+3. **Approximation bound** — on 13 fixed seeds and on hypothesis-drawn
+   instances small enough for the exact Dreyfus–Wagner oracle, the
+   returned cost is within twice the auxiliary-graph optimum, which
+   implies the paper's ``2K`` factor (Theorem 1).
 4. **Sequence identity** — over request sequences that commit their
    allocations: ``appro_multi_cap`` matches the seed search
    (``_search_reference``) on the same pruned residual graph; the flat
@@ -39,6 +40,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.core import (
@@ -514,10 +517,14 @@ def online_cp_twin_series(seed, nodes, failures=False):
 
 
 class TestApproximationBound:
-    """Theorem 1: cost(Appro_Multi) ≤ 2K · optimum on the auxiliary graph."""
+    """KMB per combination is a 2-approximation, so cost(Appro_Multi) ≤
+    2 · min_i OPT(G_k^i): stronger than Theorem 1's 2K bound against the
+    true optimum."""
 
     @pytest.mark.parametrize("seed", range(0, 50, 4))
     def test_within_2k_of_exact_optimum(self, seed):
+        # Fixed-seed anchors for the property below; the 2x bound they
+        # assert implies 2K for every K >= 1.
         k = 2
         network, request = make_instance(seed, nodes=12)
         try:
@@ -527,4 +534,32 @@ class TestApproximationBound:
         exact_cost, _ = optimal_auxiliary_cost(
             network, request, max_servers=k
         )
-        assert tree.total_cost <= 2 * k * exact_cost + 1e-6
+        assert tree.total_cost <= 2 * exact_cost + 1e-6
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        nodes=st.integers(8, 14),
+        server_fraction=st.sampled_from([0.2, 0.3, 0.5]),
+        dmax_ratio=st.sampled_from([0.25, 0.5]),
+        k=st.sampled_from([1, 2, 3]),
+    )
+    def test_within_2x_of_exact_auxiliary_optimum(
+        self, seed, nodes, server_fraction, dmax_ratio, k
+    ):
+        graph, _ = waxman_graph(nodes, alpha=0.5, beta=0.5, seed=seed)
+        network = build_sdn(graph, seed=seed, server_fraction=server_fraction)
+        request = generate_workload(
+            graph, count=1, dmax_ratio=dmax_ratio, seed=seed + 10_000
+        )[0]
+        # core/exact.py's size limits
+        assert len(network.server_nodes) <= 8
+        assert len(request.destinations) <= 7
+        try:
+            tree = appro_multi(network, request, max_servers=k)
+        except InfeasibleRequestError:
+            return
+        exact_cost, _ = optimal_auxiliary_cost(
+            network, request, max_servers=k
+        )
+        assert tree.total_cost <= 2 * exact_cost + 1e-6

@@ -46,12 +46,6 @@ class TestExamples:
         assert "monitoring streams admitted" in out
         assert "server utilization" in out
 
-    def test_delay_sla(self):
-        out = run_example("delay_sla_geant.py")
-        assert "SLA" in out
-        assert "infeasible" in out  # the 8 ms bound is impossible
-        assert "VM inventory" in out
-
     @pytest.mark.slow
     def test_online_admission_isp(self):
         out = run_example("online_admission_isp.py", timeout=300)

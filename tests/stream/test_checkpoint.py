@@ -140,22 +140,67 @@ class TestValidation:
         with pytest.raises(CheckpointError):
             restore_into(used, document)
 
+    @staticmethod
+    def refused_untouched(document, config, donor, match):
+        fresh = build_engine(config)
+        before = fresh.algorithm.network.snapshot()
+        assert donor.algorithm.network.snapshot() != before
+        with pytest.raises(CheckpointError, match=match):
+            restore_into(fresh, document)
+        assert fresh.algorithm.network.snapshot() == before
+
     @pytest.mark.parametrize(
-        "section", ["network", "active", "heap", "stream", "stats", "algorithm"]
+        "section",
+        [
+            "network",
+            "active",
+            "heap",
+            "stream",
+            "stats",
+            "algorithm",
+            # nested keys, each read by a section reader
+            "network.links",
+            "network.servers",
+            "active.0.departs_at",
+            "active.0.request.source",
+            "heap.entries",
+            "heap.next_seq",
+            "stream.timing_rng",
+            "stream.generator.next_id",
+            "stats.digest",
+            "stats.cost_histogram.bounds",
+            "algorithm.admitted_total",
+            "algorithm.rejected_total",
+        ],
     )
     def test_restore_refuses_missing_section_before_touching(self, section):
         config = small_config(requests=40)
         donor = build_engine(config)
         donor.run(max_events=20)
         document = capture(donor, meta=config.as_dict())
-        del document[section]
+        *parents, key = [
+            int(part) if part.isdigit() else part
+            for part in section.split(".")
+        ]
+        container = document
+        for part in parents:
+            container = container[part]
+        del container[key]
+        self.refused_untouched(document, config, donor, repr(key))
 
-        fresh = build_engine(config)
-        before = fresh.algorithm.network.snapshot()
-        assert donor.algorithm.network.snapshot() != before
-        with pytest.raises(CheckpointError, match=repr(section)):
-            restore_into(fresh, document)
-        assert fresh.algorithm.network.snapshot() == before
+    @pytest.mark.parametrize("kind", ["links", "servers"])
+    @pytest.mark.parametrize("residual", [-5.0, 1e9])
+    def test_restore_refuses_impossible_residual_before_touching(
+        self, kind, residual
+    ):
+        # allocate and release clamp every residual to [0, capacity], so
+        # no captured document holds one outside it
+        config = small_config(requests=40)
+        donor = build_engine(config)
+        donor.run(max_events=20)
+        document = capture(donor, meta=config.as_dict())
+        document["network"][kind][0][-2] = residual
+        self.refused_untouched(document, config, donor, "outside")
 
     def test_failure_schedule_cannot_be_checkpointed(self):
         # format v1 records no failure state (pending recoveries, dropped
