@@ -530,6 +530,19 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.command == "bench":
+        ignored = None
+        if args.target == "obs" and args.quick:
+            ignored = "--quick"
+        elif args.target == "stream" and args.rounds is not None:
+            ignored = "--rounds"
+        if ignored is not None:
+            print(
+                f"error: {ignored} has no effect with --target "
+                f"{args.target}",
+                file=sys.stderr,
+            )
+            return 2
+
         from repro.obs import bench
 
         # stream-obs merges its section into the obs target's artifact

@@ -59,7 +59,7 @@ def alg_one_server(
     """
     from repro.core.auxiliary import scale_graph  # local: avoids cycle
 
-    scaled = scale_graph(network.graph, request.bandwidth)  # repro-lint: disable=RL001
+    scaled = scale_graph(network.graph, request.bandwidth)
     destinations = sorted(request.destinations, key=repr)
     # Searches run on the materialized b_k-scaled graph: the topology cache's
     # lazily scaled distances associate the float multiplication differently

@@ -76,7 +76,7 @@ def optimal_auxiliary_cost(
     best_combination: Tuple[Node, ...] = ()
     for combination in iter_combinations(ctx.candidate_servers, max_servers):
         # exact oracle: the materialized G_k^i is the point of this solver
-        aux = explicit_auxiliary_graph(ctx, combination)  # repro-lint: disable=RL001
+        aux = explicit_auxiliary_graph(ctx, combination)
         cost, _ = dreyfus_wagner(aux, terminals)
         if best_cost is None or cost < best_cost:
             best_cost = cost
@@ -105,7 +105,7 @@ def optimal_single_server_cost(
         )
     from repro.core.auxiliary import scale_graph
 
-    scaled = scale_graph(network.graph, request.bandwidth)  # repro-lint: disable=RL001
+    scaled = scale_graph(network.graph, request.bandwidth)
     # Exact reference oracle: fresh search on the materialized scaled copy,
     # deliberately independent of the production cache it helps validate.
     # repro-lint: disable=RL001

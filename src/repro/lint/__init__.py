@@ -1,4 +1,4 @@
-"""``repro lint`` — two-pass semantic analyzer for the reproduction.
+"""``repro lint`` — the semantic analyzer for the reproduction.
 
 The reproduction's correctness rests on cross-cutting conventions that no
 single unit test can see: every shortest-path query goes through the
@@ -10,35 +10,33 @@ component draws from an explicitly seeded RNG.  This package enforces those
 conventions *statically*, at CI time, instead of waiting for a 50-instance
 differential run to drift.
 
-Two passes:
+One cached pass per file, then the cross-file rules:
 
-- the **per-file pass** walks each module once with the RL001–RL008 and
-  RL011 rules (:mod:`repro.lint.rules`);
-- the **cross-file pass** builds a cached :class:`ProjectIndex` over the
-  whole file set (:mod:`repro.lint.project`) and runs the RL009/RL010
-  dataflow rules, the RL012 API-surface lock, and the transitive
-  RL001/RL007 call-graph extension (:mod:`repro.lint.xrules`).
+- :class:`ProjectIndex` (:mod:`repro.lint.project`) parses each module
+  once, runs the per-file rules RL001–RL008 and RL011
+  (:mod:`repro.lint.rules`) on it and extracts the cross-file facts from
+  the same tree; an unchanged file reuses both from the on-disk cache;
+- the cross-file rules then run against the whole index: the
+  RL009/RL010 dataflow rules, the transitive RL001/RL007 call-graph
+  extension and, given an API baseline, the RL012 API-surface lock
+  (:mod:`repro.lint.xrules`).
 
 Public surface:
 
 - :func:`lint_paths` / :func:`lint_source` — run the rules.
 - :data:`ALL_RULES` / :data:`CROSS_RULES` — the rule registries.
 - :class:`Finding` — one violation: rule, path, line, message, hint.
-- :class:`ProjectIndex` — the pass-1 artifact (symbol tables, class
-  attribute maps, call graph, export surface).
-- :func:`compute_api_surface` / :func:`diff_api_surface` — the RL012
-  surface snapshot and its diff against ``api_baseline.json``.
+- :class:`ProjectIndex` — the cached index (per-file findings, symbol
+  tables, class attribute maps, call graph, export surface).
+- :func:`compute_api_surface` / :func:`load_api_baseline` — the RL012
+  surface snapshot (what ``--update-api`` writes) and the committed
+  ``api_baseline.json`` it is diffed against.
 - :mod:`repro.lint.cli` — the ``repro lint`` subcommand implementation.
 
 See ``docs/STATIC_ANALYSIS.md`` for the rule catalogue and the suppression
 syntax (``# repro-lint: disable=RLxxx``).
 """
 
-from repro.lint.baseline import (
-    filter_with_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.lint.core import Finding, LintContext, Rule
 from repro.lint.project import (
     ClassInfo,
@@ -46,10 +44,9 @@ from repro.lint.project import (
     ModuleInfo,
     ProjectIndex,
 )
-from repro.lint.rules import ALL_RULES, get_rule
+from repro.lint.rules import ALL_RULES
 from repro.lint.runner import (
     iter_python_files,
-    lint_file,
     lint_paths,
     lint_source,
     load_api_baseline,
@@ -59,7 +56,6 @@ from repro.lint.xrules import (
     CROSS_RULES,
     CrossRule,
     compute_api_surface,
-    diff_api_surface,
     run_cross_rules,
 )
 
@@ -76,15 +72,9 @@ __all__ = [
     "ProjectIndex",
     "Rule",
     "compute_api_surface",
-    "diff_api_surface",
-    "filter_with_baseline",
-    "get_rule",
     "iter_python_files",
-    "lint_file",
     "lint_paths",
     "lint_source",
     "load_api_baseline",
-    "load_baseline",
     "run_cross_rules",
-    "write_baseline",
 ]

@@ -1,8 +1,8 @@
 """The ``repro lint`` subcommand (also ``python -m repro.lint``).
 
-Exit codes: 0 clean (or only baselined findings), 1 new findings, 2 usage
-error.  ``--format json`` emits a machine-readable report for editors and
-the CI annotation step; ``--write-baseline`` adopts the current findings.
+Exit codes: 0 clean, 1 findings, 2 usage error (including a path that
+cannot be read).  ``--format json`` emits a machine-readable report for
+editors and the CI annotation step.
 """
 
 from __future__ import annotations
@@ -10,23 +10,16 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import subprocess
 import sys
 from typing import List, Optional
 
-from repro.lint.baseline import (
-    filter_with_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.lint.project import ProjectIndex
 from repro.lint.rules import ALL_RULES
-from repro.lint.runner import (
-    DEFAULT_API_BASELINE,
-    iter_python_files,
-    lint_paths,
-)
+from repro.lint.runner import iter_python_files, lint_paths
 from repro.lint.xrules import CROSS_RULES, compute_api_surface
+
+#: Where ``--update-api`` writes when no ``--api-baseline`` is given.
+DEFAULT_API_BASELINE = "api_baseline.json"
 
 
 def build_parser(
@@ -52,43 +45,23 @@ def build_parser(
         help="report format (default: text)",
     )
     parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        default=None,
-        help="baseline file: subtract known findings (check mode)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write the current findings to --baseline and exit 0",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalogue and exit",
     )
     parser.add_argument(
-        "--changed",
-        nargs="?",
-        const="HEAD",
-        default=None,
-        metavar="BASE",
-        help="lint only files that differ from the given git ref "
-        "(default HEAD) plus untracked files; the project index still "
-        "spans every file so cross-file rules stay sound",
-    )
-    parser.add_argument(
         "--api-baseline",
         metavar="PATH",
         default=None,
-        help="API-surface baseline to diff against (RL012); by default "
-        f"{DEFAULT_API_BASELINE} is used when it exists in the cwd",
+        help="API-surface baseline to diff against; RL012 runs if and "
+        "only if this is given",
     )
     parser.add_argument(
         "--update-api",
         action="store_true",
-        help="rewrite the API baseline from the current exported surface "
-        "and exit 0 (an intentional surface change)",
+        help="rewrite the API baseline (--api-baseline, default "
+        f"{DEFAULT_API_BASELINE}) from the current exported surface and "
+        "exit 0 (an intentional surface change)",
     )
     parser.add_argument(
         "--index-cache",
@@ -99,42 +72,9 @@ def build_parser(
     parser.add_argument(
         "--no-index-cache",
         action="store_true",
-        help="rebuild the project index from scratch, touching no cache",
+        help="analyze every file from scratch, touching no cache",
     )
     return parser
-
-
-def _changed_files(base: str, paths: List[str]) -> Optional[List[str]]:
-    """Files under ``paths`` that differ from ``base`` or are untracked.
-
-    Returns ``None`` when git is unavailable (callers fall back to a full
-    run — safe, just slower).
-    """
-    changed: List[str] = []
-    for command in (
-        ["git", "diff", "--name-only", base],
-        ["git", "ls-files", "--others", "--exclude-standard"],
-    ):
-        try:
-            result = subprocess.run(
-                command, capture_output=True, text=True, check=True
-            )
-        except (OSError, subprocess.CalledProcessError) as exc:
-            detail = getattr(exc, "stderr", "") or str(exc)
-            print(
-                f"error: --changed needs git ({detail.strip()})",
-                file=sys.stderr,
-            )
-            return None
-        changed.extend(
-            line.strip() for line in result.stdout.splitlines() if line.strip()
-        )
-    wanted = {os.path.normpath(p) for p in iter_python_files(paths)}
-    return sorted(
-        path
-        for path in dict.fromkeys(changed)
-        if path.endswith(".py") and os.path.normpath(path) in wanted
-    )
 
 
 def run(args: argparse.Namespace) -> int:
@@ -154,15 +94,6 @@ def run(args: argparse.Namespace) -> int:
                         "hint": rule.hint,
                     }
                     for rule in catalogue
-                ]
-                + [
-                    {
-                        "id": "RL012",
-                        "name": "api-surface-lock",
-                        "rationale": "exported names and signatures of the "
-                        "locked packages must match api_baseline.json",
-                        "hint": "repro lint --update-api",
-                    }
                 ],
                 indent=2,
             ))
@@ -170,29 +101,23 @@ def run(args: argparse.Namespace) -> int:
             for rule in catalogue:
                 print(f"{rule.id} {rule.name}")
                 print(f"    {rule.rationale}")
-            print("RL012 api-surface-lock")
-            print(
-                "    exported names and signatures of repro.core/graph/"
-                "stream/obs must match api_baseline.json "
-                "(rebaseline: repro lint --update-api)"
-            )
             print(
                 "note: RL001/RL007 also run transitively over the project "
                 "call graph (flagged at the solver-side call site)"
             )
         return 0
 
-    if args.write_baseline and not args.baseline:
-        print("error: --write-baseline requires --baseline PATH", file=sys.stderr)
-        return 2
-
     index_cache = None if args.no_index_cache else args.index_cache
 
     if args.update_api:
         target = args.api_baseline or DEFAULT_API_BASELINE
-        index = ProjectIndex.build(
-            iter_python_files(args.paths), cache_path=index_cache
-        )
+        try:
+            index = ProjectIndex.build(
+                iter_python_files(args.paths), cache_path=index_cache
+            )
+        except (OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         surface = compute_api_surface(index)
         with open(target, "w", encoding="utf-8") as handle:
             json.dump(surface, handle, indent=2, sort_keys=True)
@@ -212,59 +137,24 @@ def run(args: argparse.Namespace) -> int:
         )
         return 2
 
-    changed_only = None
-    if args.changed is not None:
-        changed_only = _changed_files(args.changed, list(args.paths))
-        if changed_only is None:
-            return 2
-        if not changed_only:
-            print("repro lint: no changed files")
-            return 0
-
     try:
         findings = lint_paths(
             args.paths,
             index_cache=index_cache,
-            api_baseline=args.api_baseline
-            if args.api_baseline is not None
-            else "auto",
-            changed_only=changed_only,
+            api_baseline=args.api_baseline,
         )
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.write_baseline:
-        count = write_baseline(args.baseline, findings)
-        print(f"wrote {count} baseline entr{'y' if count == 1 else 'ies'} "
-              f"to {args.baseline}")
-        return 0
-
-    stale: List = []
-    if args.baseline:
-        try:
-            baseline = load_baseline(args.baseline)
-        except (ValueError, KeyError, json.JSONDecodeError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        findings, stale = filter_with_baseline(findings, baseline)
-
     if args.output_format == "json":
         print(json.dumps(
-            {
-                "findings": [finding.to_dict() for finding in findings],
-                "stale_baseline_entries": [list(key) for key in stale],
-            },
+            {"findings": [finding.to_dict() for finding in findings]},
             indent=2,
         ))
     else:
         for finding in findings:
             print(finding.format())
-        for rule, path, message in stale:
-            print(
-                f"note: stale baseline entry {rule} for {path} "
-                f"({message!r}) — rewrite the baseline",
-            )
         noun = "finding" if len(findings) == 1 else "findings"
         print(f"repro lint: {len(findings)} {noun}")
     return 1 if findings else 0

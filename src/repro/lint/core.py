@@ -1,11 +1,13 @@
 """Visitor core for the invariant linter: findings, rules, suppressions.
 
-One :class:`LintContext` is built per file.  It parses the source once,
-pre-computes the facts most rules need — import aliases, the set of calls
-used as ``with``-statement context expressions, suppression comments — and
-then a single :class:`LintVisitor` walk dispatches every AST node to the
-rules that registered interest in its type.  Rules therefore never re-walk
-the tree, which keeps a full-``src/`` run well under a second.
+One :class:`LintContext` is built per file, and it is the only parse of
+that file: the per-file rules and the project index's extractor
+(:mod:`repro.lint.project`) both read it.  The context walks the tree
+once into a node list and pre-computes the facts most rules need —
+import aliases, the set of calls used as ``with``-statement context
+expressions, suppression comments — and then :class:`LintVisitor`
+dispatches every node of that list to the rules that registered
+interest in its type.  Rules therefore never re-walk the tree.
 
 Suppression syntax (checked by ``tests/lint/test_suppressions.py``):
 
@@ -65,11 +67,6 @@ class Finding:
             "hint": self.hint,
         }
 
-    def baseline_key(self) -> Tuple[str, str, str]:
-        """Identity used by baseline matching; deliberately line-free so
-        unrelated edits that shift line numbers do not churn the baseline."""
-        return (self.rule, self.path, self.message)
-
 
 class Rule:
     """Base class for one invariant rule.
@@ -80,7 +77,7 @@ class Rule:
     context can apply suppressions centrally.
     """
 
-    #: Stable identifier, e.g. ``"RL001"`` (used in pragmas and baselines).
+    #: Stable identifier, e.g. ``"RL001"`` (used in pragmas).
     id: str = ""
     #: Short kebab-case name for listings.
     name: str = ""
@@ -106,8 +103,8 @@ def module_key(path: str) -> str:
     The linter scopes every rule by position inside the ``repro`` package
     (``repro/network/sdn.py``, ``repro/obs/registry.py`` …), so fixtures can
     impersonate any module by choosing their path.  Files outside the
-    package (tests, benchmarks, scripts) normalize to ``""`` and are skipped
-    entirely: the invariants are contracts of the library, not of the code
+    package (tests, benchmarks, scripts) normalize to ``""`` and are not
+    linted: the invariants are contracts of the library, not of the code
     that exercises it.
     """
     normalized = path.replace("\\", "/")
@@ -120,6 +117,31 @@ def module_key(path: str) -> str:
     return ""
 
 
+def pragma_comments(source: str) -> List[Tuple[int, str, Set[str], bool]]:
+    """Every suppression pragma in the comments of ``source``.
+
+    Returns one ``(line, kind, rule_ids, standalone)`` tuple per pragma:
+    ``kind`` is ``"disable"`` or ``"disable-file"``, and ``standalone``
+    says that nothing but the comment is on its line.  Pragma-shaped text
+    in strings and docstrings is not a comment, so it never counts.
+    """
+    if "repro-lint" not in source:
+        return []  # no comment can hold a pragma: skip tokenizing
+    pragmas: List[Tuple[int, str, Set[str], bool]] = []
+    try:
+        for token in tokenize.generate_tokens(io.StringIO(source).readline):
+            if token.type != tokenize.COMMENT:
+                continue
+            line, col = token.start
+            standalone = not token.line[:col].strip()
+            for kind, rules in _PRAGMA.findall(token.string):
+                ids = {r.strip() for r in rules.split(",") if r.strip()}
+                pragmas.append((line, kind, ids, standalone))
+    except tokenize.TokenError:  # pragma: no cover - parse already passed
+        pass
+    return pragmas
+
+
 class LintContext:
     """Per-file state shared by every rule during one walk."""
 
@@ -127,9 +149,11 @@ class LintContext:
         self.path = path
         self.source = source
         self.tree = tree
+        #: Every node of ``tree``, walked once and shared by all readers.
+        self.nodes: List[ast.AST] = list(ast.walk(tree))
         #: ``repro/...`` key ("" when the file is outside the package).
         self.module = module_key(path)
-        #: local alias -> imported module path ("import numpy as np").
+        #: local alias -> imported module path ("import repro.graph as g").
         self.module_aliases: Dict[str, str] = {}
         #: local name -> "module.attr" ("from repro.obs import span as s").
         self.imported_names: Dict[str, str] = {}
@@ -147,7 +171,7 @@ class LintContext:
     # pre-passes
     # ------------------------------------------------------------------
     def _collect_imports_and_withs(self) -> None:
-        for node in ast.walk(self.tree):
+        for node in self.nodes:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     self.module_aliases[alias.asname or alias.name] = alias.name
@@ -163,29 +187,14 @@ class LintContext:
                         self.with_context_calls.add(id(item.context_expr))
 
     def _collect_suppressions(self) -> None:
-        try:
-            tokens = tokenize.generate_tokens(io.StringIO(self.source).readline)
-            comments = [
-                (token.start[0], token.string, token.start[1])
-                for token in tokens
-                if token.type == tokenize.COMMENT
-            ]
-        except tokenize.TokenError:  # pragma: no cover - parse already passed
-            comments = []
-        for line, text, col in comments:
-            for kind, rules in _PRAGMA.findall(text):
-                ids = {r.strip() for r in rules.split(",") if r.strip()}
-                if kind == "disable-file":
-                    self._file_disables |= ids
-                    continue
-                self._line_disables.setdefault(line, set()).update(ids)
-                if col == 0 or self._comment_is_standalone(line, col):
-                    # a standalone comment also covers the next source line
-                    self._line_disables.setdefault(line + 1, set()).update(ids)
-
-    def _comment_is_standalone(self, line: int, col: int) -> bool:
-        prefix = self.source.splitlines()[line - 1][:col]
-        return not prefix.strip()
+        for line, kind, ids, standalone in pragma_comments(self.source):
+            if kind == "disable-file":
+                self._file_disables |= ids
+                continue
+            self._line_disables.setdefault(line, set()).update(ids)
+            if standalone:
+                # a standalone comment also covers the next source line
+                self._line_disables.setdefault(line + 1, set()).update(ids)
 
     # ------------------------------------------------------------------
     # suppression visibility (the project index serializes these so the
@@ -272,7 +281,7 @@ class LintContext:
         )
 
 
-class LintVisitor(ast.NodeVisitor):
+class LintVisitor:
     """Single-walk dispatcher: each node goes to the rules that want it."""
 
     def __init__(self, rules: Sequence[Rule], ctx: LintContext) -> None:
@@ -285,12 +294,12 @@ class LintVisitor(ast.NodeVisitor):
                 self._dispatch.setdefault(node_type, []).append(rule)
 
     def run(self) -> List[Finding]:
-        """Walk the whole module and return the surviving findings."""
-        if self._dispatch:
-            self.visit(self._ctx.tree)
+        """Dispatch the context's node list and return the surviving
+        findings (suppressed ones never enter ``ctx.findings``)."""
+        dispatch = self._dispatch
+        if dispatch:
+            ctx = self._ctx
+            for node in ctx.nodes:
+                for rule in dispatch.get(type(node), ()):
+                    rule.visit(node, ctx)
         return self._ctx.findings
-
-    def generic_visit(self, node: ast.AST) -> None:
-        for rule in self._dispatch.get(type(node), ()):
-            rule.visit(node, self._ctx)
-        super().generic_visit(node)

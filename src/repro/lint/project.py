@@ -1,10 +1,9 @@
-"""Pass 1 of the two-pass analyzer: the cached project index.
+"""The project index: one cached pass over every file.
 
-The per-file rules (RL001–RL008, RL011) see one module at a time; the
-contracts added in the streaming PRs — checkpoint-state completeness,
-worker-count-invariant digests, the public API surface — are properties
-of *sets* of files.  This module extracts, per module, everything the
-cross-file rules (:mod:`repro.lint.xrules`) need:
+:meth:`ProjectIndex.build` parses and tokenizes each file once into a
+:class:`~repro.lint.core.LintContext`, runs the per-file rules
+(RL001–RL008, RL011) on it and, from the same tree, extracts everything
+the cross-file rules (:mod:`repro.lint.xrules`) need:
 
 - symbol tables: import aliases, ``__all__``, public top-level defs;
 - per-class attribute maps: attributes assigned in ``__init__``,
@@ -18,10 +17,13 @@ cross-file rules (:mod:`repro.lint.xrules`) need:
 - the file's suppression pragmas, so the cross-file pass honours
   ``# repro-lint: disable=RLxxx`` without re-reading the source.
 
-Everything in a :class:`ModuleInfo` is JSON-serializable, which is what
-makes the index *cacheable*: :meth:`ProjectIndex.build` fingerprints each
-source file (SHA-256) and reuses the cached entry when the fingerprint
-matches, so a ``--changed`` pre-commit run re-parses only edited files.
+Everything in a :class:`ModuleInfo`, the per-file findings included, is
+JSON-serializable, which is what makes the index *cacheable*: a file
+whose content fingerprint (SHA-256) matches its cache entry is neither
+parsed nor linted again, so a full run over an unedited tree costs one
+cache load plus the cross-file rules.  The cache header carries a digest
+of the linter's own sources and the Python version; when either differs
+the whole cache is discarded.
 """
 
 from __future__ import annotations
@@ -30,10 +32,12 @@ import ast
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+import platform
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.lint.core import LintContext, module_key
+from repro.lint.core import Finding, LintContext, LintVisitor, module_key
+from repro.lint.rules import ALL_RULES
 
 __all__ = [
     "ClassInfo",
@@ -42,10 +46,6 @@ __all__ = [
     "ProjectIndex",
     "dotted_module",
 ]
-
-#: Cache file format version; bump when ModuleInfo's shape changes so a
-#: stale cache from an older linter is discarded wholesale.
-CACHE_VERSION = 1
 
 #: Method names whose call on ``self.<attr>`` counts as mutating the
 #: attribute (the RL009 "mutable attribute" detector).  Deliberately a
@@ -142,25 +142,6 @@ class FunctionInfo:
     #: iterable is statically set-valued (see :func:`_is_set_valued`).
     set_iterations: List[List[Any]] = field(default_factory=list)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "lineno": self.lineno,
-            "signature": self.signature,
-            "calls": self.calls,
-            "set_iterations": self.set_iterations,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FunctionInfo":
-        return cls(
-            name=data["name"],
-            lineno=int(data["lineno"]),
-            signature=data["signature"],
-            calls=[list(entry) for entry in data["calls"]],
-            set_iterations=[list(e) for e in data["set_iterations"]],
-        )
-
 
 @dataclass
 class ClassInfo:
@@ -186,50 +167,17 @@ class ClassInfo:
     restore_keys: List[str] = field(default_factory=list)
     methods: Dict[str, FunctionInfo] = field(default_factory=dict)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "lineno": self.lineno,
-            "bases": self.bases,
-            "init_attrs": self.init_attrs,
-            "mutated_attrs": self.mutated_attrs,
-            "has_state": self.has_state,
-            "has_restore": self.has_restore,
-            "state_lineno": self.state_lineno,
-            "restore_lineno": self.restore_lineno,
-            "state_keys": self.state_keys,
-            "restore_keys": self.restore_keys,
-            "methods": {
-                name: info.to_dict() for name, info in self.methods.items()
-            },
-        }
-
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ClassInfo":
-        return cls(
-            name=data["name"],
-            lineno=int(data["lineno"]),
-            bases=list(data["bases"]),
-            init_attrs={k: int(v) for k, v in data["init_attrs"].items()},
-            mutated_attrs={
-                k: int(v) for k, v in data["mutated_attrs"].items()
-            },
-            has_state=bool(data["has_state"]),
-            has_restore=bool(data["has_restore"]),
-            state_lineno=int(data["state_lineno"]),
-            restore_lineno=int(data["restore_lineno"]),
-            state_keys=list(data["state_keys"]),
-            restore_keys=list(data["restore_keys"]),
-            methods={
-                name: FunctionInfo.from_dict(info)
-                for name, info in data["methods"].items()
-            },
-        )
+        methods = {
+            name: FunctionInfo(**info) for name, info in data["methods"].items()
+        }
+        return cls(**dict(data, methods=methods))
 
 
 @dataclass
 class ModuleInfo:
-    """Everything the cross-file rules need to know about one module."""
+    """One module's cross-file facts and its per-file findings."""
 
     path: str
     module: str
@@ -245,6 +193,8 @@ class ModuleInfo:
     classes: Dict[str, ClassInfo] = field(default_factory=dict)
     file_disables: List[str] = field(default_factory=list)
     line_disables: Dict[int, List[str]] = field(default_factory=dict)
+    #: The per-file rules' findings (pragmas already applied).
+    findings: List[Finding] = field(default_factory=list)
 
     def is_suppressed(self, rule_id: str, line: int) -> bool:
         """Whether a pragma silences ``rule_id`` at ``line`` in this file."""
@@ -254,54 +204,32 @@ class ModuleInfo:
         return rule_id in disabled or "all" in disabled
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "path": self.path,
-            "module": self.module,
-            "dotted": self.dotted,
-            "fingerprint": self.fingerprint,
-            "module_aliases": self.module_aliases,
-            "imported_names": self.imported_names,
-            "exports": self.exports,
-            "public_defs": self.public_defs,
-            "functions": {
-                name: info.to_dict() for name, info in self.functions.items()
-            },
-            "classes": {
-                name: info.to_dict() for name, info in self.classes.items()
-            },
-            "file_disables": self.file_disables,
-            "line_disables": {
-                str(line): ids for line, ids in self.line_disables.items()
-            },
-        }
+        """JSON-ready form (``json`` turns the int line keys into str)."""
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ModuleInfo":
-        return cls(
-            path=data["path"],
-            module=data["module"],
-            dotted=data["dotted"],
-            fingerprint=data["fingerprint"],
-            module_aliases=dict(data["module_aliases"]),
-            imported_names=dict(data["imported_names"]),
-            exports=(
-                None if data["exports"] is None else list(data["exports"])
-            ),
-            public_defs=list(data["public_defs"]),
+        """Rebuild a :meth:`to_dict` entry read back from the cache.
+
+        Raises:
+            AttributeError, KeyError, TypeError, ValueError: on a
+                malformed entry.
+        """
+        return cls(**dict(
+            data,
             functions={
-                name: FunctionInfo.from_dict(info)
+                name: FunctionInfo(**info)
                 for name, info in data["functions"].items()
             },
             classes={
                 name: ClassInfo.from_dict(info)
                 for name, info in data["classes"].items()
             },
-            file_disables=list(data["file_disables"]),
             line_disables={
-                int(line): list(ids)
-                for line, ids in data["line_disables"].items()
+                int(line): ids for line, ids in data["line_disables"].items()
             },
-        )
+            findings=[Finding(**finding) for finding in data["findings"]],
+        ))
 
 
 # ----------------------------------------------------------------------
@@ -327,30 +255,33 @@ def _is_set_valued(expr: ast.expr, set_names: Set[str]) -> bool:
     return False
 
 
-def _local_set_names(func: ast.AST) -> Set[str]:
-    """Names assigned from set-valued expressions anywhere in ``func``.
+def _local_set_names(nodes: List[ast.AST]) -> Set[str]:
+    """Names assigned from set-valued expressions anywhere in a function
+    (``nodes`` is the function's walk).
 
     Two fixpoint passes so ``a = set(x); b = a | other`` resolves ``b``.
     """
+    assigns: List[Tuple[str, ast.expr]] = []
+    for node in nodes:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target = node.targets[0]
+            if isinstance(target, ast.Name):
+                assigns.append((target.id, node.value))
     names: Set[str] = set()
     for _ in range(2):
         before = len(names)
-        for node in ast.walk(func):
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target = node.targets[0]
-                if isinstance(target, ast.Name) and _is_set_valued(
-                    node.value, names
-                ):
-                    names.add(target.id)
+        for name, value in assigns:
+            if _is_set_valued(value, names):
+                names.add(name)
         if len(names) == before:
             break
     return names
 
 
-def _exempt_genexps(func: ast.AST) -> Set[int]:
+def _exempt_genexps(nodes: List[ast.AST]) -> Set[int]:
     """ids of genexps passed directly to an order-free builtin."""
     exempt: Set[int] = set()
-    for node in ast.walk(func):
+    for node in nodes:
         if (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)
@@ -377,12 +308,12 @@ def _loop_builds_order(body: List[ast.stmt]) -> bool:
     return False
 
 
-def _set_iteration_sites(func: ast.AST) -> List[List[Any]]:
-    """RL010 raw material: set-valued iteration sites inside ``func``."""
-    set_names = _local_set_names(func)
-    exempt = _exempt_genexps(func)
+def _set_iteration_sites(nodes: List[ast.AST]) -> List[List[Any]]:
+    """RL010 raw material: set-valued iteration sites in a function."""
+    set_names = _local_set_names(nodes)
+    exempt = _exempt_genexps(nodes)
     sites: List[List[Any]] = []
-    for node in ast.walk(func):
+    for node in nodes:
         if isinstance(node, ast.For):
             if _is_set_valued(node.iter, set_names):
                 sites.append(
@@ -437,7 +368,9 @@ class _Extractor:
         info = self.info
         for node in self.ctx.tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                info.functions[node.name] = self._function(node)
+                info.functions[node.name] = self._function(
+                    node, list(ast.walk(node))
+                )
                 if not node.name.startswith("_"):
                     info.public_defs.append(node.name)
             elif isinstance(node, ast.ClassDef):
@@ -463,11 +396,11 @@ class _Extractor:
 
     # -- functions ------------------------------------------------------
     def _calls(
-        self, func: ast.AST, own_methods: Optional[Set[str]] = None,
+        self, nodes: List[ast.AST], own_methods: Optional[Set[str]] = None,
         class_name: Optional[str] = None,
     ) -> List[List[Any]]:
         calls: List[List[Any]] = []
-        for node in ast.walk(func):
+        for node in nodes:
             if not isinstance(node, ast.Call):
                 continue
             qualified = self.ctx.qualified_call_name(node.func)
@@ -499,16 +432,18 @@ class _Extractor:
     def _function(
         self,
         node: ast.AST,
+        nodes: List[ast.AST],
         own_methods: Optional[Set[str]] = None,
         class_name: Optional[str] = None,
     ) -> FunctionInfo:
+        """``nodes`` is ``node``'s walk, shared with the class collectors."""
         assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         return FunctionInfo(
             name=node.name,
             lineno=node.lineno,
             signature=_signature(node),
-            calls=self._calls(node, own_methods, class_name),
-            set_iterations=_set_iteration_sites(node),
+            calls=self._calls(nodes, own_methods, class_name),
+            set_iterations=_set_iteration_sites(nodes),
         )
 
     # -- classes --------------------------------------------------------
@@ -550,30 +485,31 @@ class _Extractor:
         for item in node.body:
             if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
+            nodes = list(ast.walk(item))
             info.methods[item.name] = self._function(
-                item, method_names, node.name
+                item, nodes, method_names, node.name
             )
             if item.name == "__init__":
-                self._collect_init_attrs(item, info)
+                self._collect_init_attrs(nodes, info)
             elif item.name == "state":
                 info.has_state = True
                 info.state_lineno = item.lineno
-                info.state_keys = self._collect_state_keys(item)
+                info.state_keys = self._collect_state_keys(nodes)
             elif item.name in ("restore", "restore_state"):
                 info.has_restore = True
                 info.restore_lineno = item.lineno
                 info.restore_keys = sorted(
                     set(info.restore_keys)
-                    | set(self._collect_subscript_reads(item))
+                    | set(self._collect_subscript_reads(nodes))
                 )
             else:
-                self._collect_mutations(item, info)
+                self._collect_mutations(nodes, info)
         return info
 
     def _collect_init_attrs(
-        self, func: ast.AST, info: ClassInfo
+        self, nodes: List[ast.AST], info: ClassInfo
     ) -> None:
-        for node in ast.walk(func):
+        for node in nodes:
             if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
                 targets = (
                     node.targets
@@ -586,8 +522,10 @@ class _Extractor:
                         if attr is not None:
                             info.init_attrs.setdefault(attr, node.lineno)
 
-    def _collect_mutations(self, func: ast.AST, info: ClassInfo) -> None:
-        for node in ast.walk(func):
+    def _collect_mutations(
+        self, nodes: List[ast.AST], info: ClassInfo
+    ) -> None:
+        for node in nodes:
             if isinstance(node, (ast.Assign, ast.AugAssign)):
                 targets = (
                     node.targets
@@ -606,13 +544,13 @@ class _Extractor:
                     if attr is not None:
                         info.mutated_attrs.setdefault(attr, node.lineno)
 
-    def _collect_state_keys(self, func: ast.AST) -> List[str]:
+    def _collect_state_keys(self, nodes: List[ast.AST]) -> List[str]:
         """Keys the checkpoint dict carries: every constant string key of
         a dict literal in ``state()`` (returned directly or built in a
         local first) plus constant subscript stores (``base["k"] = ...``,
         the idiom subclasses use on top of ``super().state()``)."""
         keys: Set[str] = set()
-        for node in ast.walk(func):
+        for node in nodes:
             if isinstance(node, ast.Dict):
                 for key in node.keys:
                     if isinstance(key, ast.Constant) and isinstance(
@@ -630,9 +568,9 @@ class _Extractor:
         return sorted(keys)
 
     @staticmethod
-    def _collect_subscript_reads(func: ast.AST) -> List[str]:
+    def _collect_subscript_reads(nodes: List[ast.AST]) -> List[str]:
         keys: Set[str] = set()
-        for node in ast.walk(func):
+        for node in nodes:
             if (
                 isinstance(node, ast.Subscript)
                 and isinstance(node.slice, ast.Constant)
@@ -642,19 +580,89 @@ class _Extractor:
         return sorted(keys)
 
 
+def _fingerprint(source: str) -> str:
+    return hashlib.sha256(source.encode("utf-8")).hexdigest()
+
+
 def build_module_info(path: str, source: str) -> Optional[ModuleInfo]:
-    """Extract one module's facts; ``None`` for files outside ``repro``.
+    """Analyze one module in one pass; ``None`` for files outside ``repro``.
+
+    The source is parsed and tokenized once into a :class:`LintContext`.
+    The per-file rules (:data:`ALL_RULES`) run on it, and their findings
+    land in :attr:`ModuleInfo.findings` next to the cross-file facts
+    extracted from the same tree.  A file outside ``repro`` is parsed
+    (so a syntax error is still reported) but not analyzed.
 
     Raises:
         SyntaxError: if the source does not parse (the runner converts
             this into its synthetic RL000 finding).
     """
+    tree = ast.parse(source, filename=path)
     if not module_key(path):
         return None
-    tree = ast.parse(source, filename=path)
     ctx = LintContext(path=path, source=source, tree=tree)
-    fingerprint = hashlib.sha256(source.encode("utf-8")).hexdigest()
-    return _Extractor(ctx, fingerprint).run()
+    findings = LintVisitor(ALL_RULES, ctx).run()
+    info = _Extractor(ctx, _fingerprint(source)).run()
+    info.findings = findings
+    return info
+
+
+# ----------------------------------------------------------------------
+# the cache file
+# ----------------------------------------------------------------------
+
+
+def _linter_digest() -> str:
+    """SHA-256 over the source files of this package.
+
+    A cache entry is only as good as the code that produced it: editing a
+    rule or the extractor must discard every entry.
+    """
+    digest = hashlib.sha256()
+    package = os.path.dirname(os.path.abspath(__file__))
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), "rb") as handle:
+                digest.update(name.encode("utf-8") + b"\0" + handle.read())
+    return digest.hexdigest()
+
+
+def _cache_header() -> Dict[str, str]:
+    """What a cache file must match to be reused (``ast`` output may
+    differ between Python versions, so the version is part of it)."""
+    return {"linter": _linter_digest(), "python": platform.python_version()}
+
+
+def _load_cache(
+    cache_path: str, header: Dict[str, str]
+) -> Dict[str, Dict[str, Any]]:
+    """The cached entries by path; ``{}`` when the file is missing or
+    unreadable, or was written under another header."""
+    try:
+        with open(cache_path, encoding="utf-8") as handle:
+            payload = json.load(handle)
+    except (OSError, ValueError):
+        return {}
+    if not isinstance(payload, dict) or any(
+        payload.get(key) != value for key, value in header.items()
+    ):
+        return {}
+    modules = payload.get("modules")
+    return modules if isinstance(modules, dict) else {}
+
+
+def _save_cache(
+    cache_path: str,
+    header: Dict[str, str],
+    entries: Dict[str, Dict[str, Any]],
+) -> None:
+    # json.dumps encodes in C; json.dump to a file would take the slower
+    # pure-Python path for the same bytes
+    text = json.dumps(dict(header, modules=entries), sort_keys=True)
+    tmp = cache_path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as handle:
+        handle.write(text)
+    os.replace(tmp, cache_path)
 
 
 # ----------------------------------------------------------------------
@@ -663,7 +671,7 @@ def build_module_info(path: str, source: str) -> Optional[ModuleInfo]:
 
 
 class ProjectIndex:
-    """The pass-1 artifact: every module's facts plus resolution helpers."""
+    """Every module's facts and findings plus resolution helpers."""
 
     def __init__(self, modules: Iterable[ModuleInfo]) -> None:
         #: path -> ModuleInfo
@@ -704,68 +712,57 @@ class ProjectIndex:
         files: Iterable[str],
         cache_path: Optional[str] = None,
     ) -> "ProjectIndex":
-        """Index the given files, reusing ``cache_path`` entries whose
-        content fingerprint is unchanged, then refresh the cache."""
-        cached: Dict[str, Dict[str, Any]] = {}
-        if cache_path is not None and os.path.exists(cache_path):
-            try:
-                with open(cache_path, encoding="utf-8") as handle:
-                    payload = json.load(handle)
-                if payload.get("version") == CACHE_VERSION:
-                    cached = payload.get("modules", {})
-            except (OSError, ValueError, KeyError):
-                cached = {}
+        """Analyze every ``repro`` file in ``files``, one pass each.
+
+        With ``cache_path``, a file whose content fingerprint matches its
+        cache entry reuses the entry (facts and per-file findings)
+        without being parsed, and the cache file is rewritten only when
+        an entry changed.  Files outside ``repro`` are only parsed, so
+        that one which does not parse still lands in :attr:`broken`.
+
+        Raises:
+            OSError: if a file cannot be read.
+        """
+        header = _cache_header()
+        cached = {} if cache_path is None else _load_cache(cache_path, header)
+        entries: Dict[str, Dict[str, Any]] = {}
         infos: List[ModuleInfo] = []
         broken: Dict[str, SyntaxError] = {}
         hits = misses = 0
         for path in sorted(set(files)):
-            if not module_key(path):
-                continue
-            try:
-                with open(path, encoding="utf-8") as handle:
-                    source = handle.read()
-            except OSError:
-                continue
-            fingerprint = hashlib.sha256(
-                source.encode("utf-8")
-            ).hexdigest()
+            with open(path, encoding="utf-8") as handle:
+                source = handle.read()
             entry = cached.get(path)
-            if entry is not None and entry.get("fingerprint") == fingerprint:
+            fresh = isinstance(entry, dict) and (
+                entry.get("fingerprint") == _fingerprint(source)
+            )
+            if fresh:
                 try:
                     infos.append(ModuleInfo.from_dict(entry))
+                except (AttributeError, KeyError, TypeError, ValueError):
+                    pass  # malformed entry: fall through to re-parse
+                else:
+                    entries[path] = entry
                     hits += 1
                     continue
-                except (KeyError, ValueError, TypeError):
-                    pass  # malformed entry: fall through to re-parse
             try:
                 info = build_module_info(path, source)
             except SyntaxError as exc:
                 broken[path] = exc
                 continue
-            if info is not None:
-                infos.append(info)
-                misses += 1
+            if info is None:
+                continue
+            infos.append(info)
+            misses += 1
+            if cache_path is not None:
+                entries[path] = info.to_dict()
         index = cls(infos)
         index.broken = broken
         index.cache_hits = hits
         index.cache_misses = misses
-        if cache_path is not None:
-            index.save_cache(cache_path)
+        if cache_path is not None and (misses or len(entries) != len(cached)):
+            _save_cache(cache_path, header, entries)
         return index
-
-    def save_cache(self, cache_path: str) -> None:
-        """Persist the index for fingerprint-keyed reuse."""
-        payload = {
-            "version": CACHE_VERSION,
-            "modules": {
-                path: info.to_dict()
-                for path, info in sorted(self.modules.items())
-            },
-        }
-        tmp = cache_path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, sort_keys=True)
-        os.replace(tmp, cache_path)
 
     # -- symbol resolution ----------------------------------------------
     def resolve_export(self, dotted_name: str) -> Optional[str]:
@@ -807,17 +804,9 @@ class ProjectIndex:
         """Resolve ``module.func`` or ``module.Class.method`` node keys."""
         prefix, _, name = node_key.rpartition(".")
         module = self.by_dotted.get(prefix)
-        if module is not None:
-            if name in module.functions:
-                return module, module.functions[name]
-            # the prefix may actually be module.Class
-            mod_prefix, _, cls_name = prefix.rpartition(".")
-            owner = self.by_dotted.get(mod_prefix)
-            if owner is not None and cls_name in owner.classes:
-                method = owner.classes[cls_name].methods.get(name)
-                if method is not None:
-                    return owner, method
-            return None, None
+        if module is not None and name in module.functions:
+            return module, module.functions[name]
+        # the prefix may be module.Class
         mod_prefix, _, cls_name = prefix.rpartition(".")
         owner = self.by_dotted.get(mod_prefix)
         if owner is not None and cls_name in owner.classes:

@@ -1,4 +1,4 @@
-"""The project-specific invariant rules (RL001 … RL008).
+"""The project-specific per-file invariant rules (RL001–RL008, RL011).
 
 Each rule protects one of the cross-cutting contracts the reproduction's
 correctness argument rests on; ``docs/STATIC_ANALYSIS.md`` documents every
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.lint.core import LintContext, Rule
 
@@ -43,16 +43,6 @@ _SP_QUALIFIED = frozenset(
     f"{module}.{name}" for module in _SP_MODULES for name in _SP_FUNCTIONS
 )
 
-#: Dict-``Graph`` auxiliary-construction helpers: each call materializes a
-#: full ``G_k^i`` (or a scaled topology copy), which the CSR-native solver
-#: core forbids on hot paths — the sweep runs on the compiled view.
-_AUX_BUILD_MODULES = ("repro.core.auxiliary", "repro.core", "repro")
-_AUX_BUILD_FUNCTIONS = frozenset({"scale_graph", "explicit_auxiliary_graph"})
-_AUX_BUILD_QUALIFIED = frozenset(
-    f"{module}.{name}"
-    for module in _AUX_BUILD_MODULES
-    for name in _AUX_BUILD_FUNCTIONS
-)
 #: Substrate compilation entry point and its re-export paths.
 _CSR_COMPILE_QUALIFIED = frozenset(
     f"{module}.compile_csr"
@@ -66,9 +56,7 @@ class UncachedShortestPath(Rule):
     Inside ``repro/core`` the rule additionally guards the CSR-native
     solver core's one-compilation-per-request invariant: no direct
     ``compile_csr()`` (the substrate is compiled once, epoch-stamped, by
-    the shortest-path cache) and no dict-``Graph`` auxiliary construction
-    (``scale_graph`` / ``explicit_auxiliary_graph``) outside the
-    explicitly suppressed reference/oracle paths.
+    the shortest-path cache).
     """
 
     id = "RL001"
@@ -77,10 +65,8 @@ class UncachedShortestPath(Rule):
         "Shortest-path queries must go through ShortestPathCache / "
         "VersionedCacheRegistry so results are shared and can never be "
         "served stale across residual-state epochs.  For the same reason "
-        "the solver core must not recompile the substrate or materialize "
-        "dict auxiliary graphs per combination: the auxiliary graph lives "
-        "in the cache's single compiled view (AuxiliaryCSR), with only the "
-        "virtual-source row varying across the sweep."
+        "the solver core must not recompile the substrate: each request "
+        "reads the cache's single epoch-stamped compilation."
     )
     hint = (
         "use network.path_cache() (topology) or "
@@ -119,15 +105,6 @@ class UncachedShortestPath(Rule):
                 "compile_csr() inside the solver core recompiles the "
                 "substrate; the request's single epoch-stamped compilation "
                 "is read via ShortestPathCache.compiled()",
-            )
-        elif qualified in _AUX_BUILD_QUALIFIED:
-            short = qualified.rsplit(".", 1)[1]
-            ctx.report(
-                self,
-                node,
-                f"{short}() materializes a dict auxiliary graph inside the "
-                "solver core; hot paths must use the CSR-compiled view "
-                "(AuxiliaryCSR / FlatContext)",
             )
 
 
@@ -203,22 +180,17 @@ _GLOBAL_RANDOM_FUNCTIONS = frozenset(
         "vonmisesvariate", "weibullvariate",
     }
 )
-#: ``numpy.random`` attributes that are fine: explicit generator plumbing.
-_NUMPY_SEEDED_OK = frozenset(
-    {"default_rng", "Generator", "SeedSequence", "PCG64", "Philox", "MT19937"}
-)
 
 
 class UnseededRandomness(Rule):
-    """Module-level ``random.*`` / global ``numpy.random`` draws."""
+    """Module-level ``random.*`` draws from the hidden global RNG."""
 
     id = "RL003"
     name = "unseeded-randomness"
     rationale = (
         "Every stochastic component must draw from an explicitly seeded "
-        "random.Random(seed) (or numpy default_rng(seed)); the hidden "
-        "global RNG makes runs irreproducible and breaks the differential "
-        "harness."
+        "random.Random(seed); the hidden global RNG makes runs "
+        "irreproducible and breaks the differential harness."
     )
     hint = "thread a random.Random(seed) instance through instead"
     node_types = (ast.Call,)
@@ -236,14 +208,6 @@ class UnseededRandomness(Rule):
                     node,
                     f"random.{function}() draws from the hidden global RNG",
                 )
-        elif qualified.startswith("numpy.random."):
-            attribute = qualified[len("numpy.random."):].split(".", 1)[0]
-            if attribute not in _NUMPY_SEEDED_OK:
-                ctx.report(
-                    self,
-                    node,
-                    f"numpy.random.{attribute}() uses the global numpy RNG",
-                )
 
 
 # ----------------------------------------------------------------------
@@ -251,7 +215,7 @@ class UnseededRandomness(Rule):
 # ----------------------------------------------------------------------
 
 _COSTLIKE = re.compile(
-    r"cost|weight|dist|residual|bandwidth|capacity|delay|util|price|budget",
+    r"cost|weight|dist|residual|bandwidth|capacity|util|price|budget",
     re.IGNORECASE,
 )
 #: Float literals that are exact in IEEE-754 and conventional as sentinels.
@@ -653,7 +617,7 @@ class TransactionWithoutExitPath(Rule):
             for inner in ast.walk(stmt):
                 ids.add(id(inner))
 
-        for outer in ast.walk(ctx.tree):
+        for outer in ctx.nodes:
             for block in ("body", "orelse", "finalbody"):
                 statements = getattr(outer, block, None)
                 if not isinstance(statements, list):
@@ -684,14 +648,3 @@ ALL_RULES: Tuple[Rule, ...] = (
     BroadExceptInSolverPath(),
     TransactionWithoutExitPath(),
 )
-
-_RULES_BY_ID: Dict[str, Rule] = {rule.id: rule for rule in ALL_RULES}
-
-
-def get_rule(rule_id: str) -> Rule:
-    """Return the rule registered under ``rule_id``.
-
-    Raises:
-        KeyError: if no such rule exists.
-    """
-    return _RULES_BY_ID[rule_id]

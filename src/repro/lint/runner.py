@@ -1,61 +1,42 @@
 """Drive the rules over sources, files, and directory trees.
 
-Two passes (see ``docs/STATIC_ANALYSIS.md``): the per-file pass walks
-each module once with the RL001–RL008/RL011 rules; the cross-file pass
-builds (or reloads) the :class:`~repro.lint.project.ProjectIndex` over
-*every* requested file and runs the RL009/RL010/RL012 and transitive
-RL001/RL007 checks against it.  ``--changed`` restricts per-file linting
-and finding *reporting* to the changed files, but the index always spans
-the full file set — cross-file contracts cannot be checked on a slice.
+One pass per file (see ``docs/STATIC_ANALYSIS.md``):
+:meth:`~repro.lint.project.ProjectIndex.build` parses each module once,
+runs the per-file rules RL001–RL008/RL011 on it and extracts the
+cross-file facts from the same tree, reusing both from the index cache
+when the file is unchanged.  The cross-file rules (RL009, RL010, the
+transitive RL001/RL007 and, given an API baseline, RL012) then run
+against the whole index.
 """
 
 from __future__ import annotations
 
-import ast
 import json
 import os
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional
 
-from repro.lint.core import Finding, LintContext, LintVisitor, Rule
-from repro.lint.project import ProjectIndex
-from repro.lint.rules import ALL_RULES
+from repro.lint.core import Finding
+from repro.lint.project import ProjectIndex, build_module_info
 from repro.lint.xrules import run_cross_rules
 
 
-def lint_source(
-    source: str,
-    path: str = "<string>",
-    rules: Optional[Sequence[Rule]] = None,
-) -> List[Finding]:
-    """Lint one source string as if it lived at ``path``.
+def lint_source(source: str, path: str = "<string>") -> List[Finding]:
+    """Run the per-file rules on one source string as if it lived at ``path``.
 
     The path determines rule scoping (see
     :func:`repro.lint.core.module_key`), so fixtures can impersonate any
-    module: ``lint_source(snippet, "src/repro/core/foo.py")``.
+    module: ``lint_source(snippet, "src/repro/core/foo.py")``.  Files
+    outside the ``repro`` package are parsed but not linted: tests,
+    benchmarks and scripts deliberately break the library's invariants.
 
     Raises:
-        SyntaxError: if the source does not parse (callers decide whether a
-            syntax error is a lint failure; the CLI reports it as one).
+        SyntaxError: if the source does not parse (callers decide whether
+            a syntax error is a lint failure; the CLI reports it as one).
     """
-    tree = ast.parse(source, filename=path)
-    ctx = LintContext(path=path, source=source, tree=tree)
-    if not ctx.module:
-        # Tests, benchmarks, and scripts deliberately break the library's
-        # invariants; only files inside the repro package are linted.
+    info = build_module_info(path, source)
+    if info is None:
         return []
-    visitor = LintVisitor(ALL_RULES if rules is None else rules, ctx)
-    findings = visitor.run()
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return findings
-
-
-def lint_file(
-    path: str, rules: Optional[Sequence[Rule]] = None
-) -> List[Finding]:
-    """Lint one file on disk."""
-    with open(path, encoding="utf-8") as handle:
-        source = handle.read()
-    return lint_source(source, path=path, rules=rules)
+    return sorted(info.findings, key=lambda f: (f.path, f.line, f.col, f.rule))
 
 
 def iter_python_files(paths: Iterable[str]) -> List[str]:
@@ -92,78 +73,44 @@ def load_api_baseline(path: str) -> Dict[str, object]:
     return payload
 
 
-#: Default location of the committed surface lock, resolved from the cwd
-#: (the repo root in CI and in the pre-commit hook).
-DEFAULT_API_BASELINE = "api_baseline.json"
-
-
 def lint_paths(
     paths: Iterable[str],
-    rules: Optional[Sequence[Rule]] = None,
     *,
-    cross: Optional[bool] = None,
     index_cache: Optional[str] = None,
-    api_baseline: Optional[str] = "auto",
-    changed_only: Optional[Iterable[str]] = None,
+    api_baseline: Optional[str] = None,
 ) -> List[Finding]:
     """Lint every ``.py`` file under the given files/directories.
 
     A file that fails to parse contributes a single synthetic ``RL000``
     finding rather than aborting the run, so one broken file cannot hide
-    violations elsewhere.
+    violations elsewhere.  Of the files that parse, only those inside
+    the ``repro`` package are linted.
 
-    ``cross`` enables the index-backed pass; it defaults to on exactly
-    when ``rules`` is not given, so callers that pin an explicit rule
-    list (the fixtures) keep the old single-pass behaviour.  With
-    ``api_baseline="auto"`` the RL012 diff runs iff
-    ``api_baseline.json`` exists in the working directory; pass a path
-    to require it, or ``None`` to skip RL012.  ``changed_only`` (an
-    iterable of paths) restricts the per-file pass and the reported
-    cross findings to those files — except RL012 findings, which are
-    kept regardless because a surface break elsewhere must still block.
+    The per-file and cross-file rules all run; RL012 diffs the exported
+    surface against ``api_baseline`` (a path) if and only if one is
+    given.  ``index_cache`` names the cache file that lets unchanged
+    files skip their pass.
+
+    Raises:
+        OSError: if a file cannot be read.
+        ValueError: if ``api_baseline`` is not a version-1 surface document.
     """
-    if cross is None:
-        cross = rules is None
-    all_files = iter_python_files(paths)
-    changed: Optional[Set[str]] = None
-    if changed_only is not None:
-        changed = {os.path.normpath(p) for p in changed_only}
-
-    findings: List[Finding] = []
-    for path in all_files:
-        if changed is not None and os.path.normpath(path) not in changed:
-            continue
-        try:
-            findings.extend(lint_file(path, rules=rules))
-        except SyntaxError as exc:
-            findings.append(
-                Finding(
-                    rule="RL000",
-                    path=path,
-                    line=exc.lineno or 1,
-                    col=(exc.offset or 1) - 1,
-                    message=f"file does not parse: {exc.msg}",
-                    hint="fix the syntax error first",
-                )
+    baseline = None if api_baseline is None else load_api_baseline(api_baseline)
+    index = ProjectIndex.build(iter_python_files(paths), cache_path=index_cache)
+    findings: List[Finding] = [
+        finding for info in index.modules.values() for finding in info.findings
+    ]
+    for path, exc in index.broken.items():
+        findings.append(
+            Finding(
+                rule="RL000",
+                path=path,
+                line=exc.lineno or 1,
+                col=(exc.offset or 1) - 1,
+                message=f"file does not parse: {exc.msg}",
+                hint="fix the syntax error first",
             )
-
-    if cross:
-        index = ProjectIndex.build(all_files, cache_path=index_cache)
-        baseline_doc = None
-        if api_baseline == "auto":
-            if os.path.exists(DEFAULT_API_BASELINE):
-                baseline_doc = load_api_baseline(DEFAULT_API_BASELINE)
-        elif api_baseline is not None:
-            baseline_doc = load_api_baseline(api_baseline)
-        cross_findings = run_cross_rules(index, api_baseline=baseline_doc)
-        if changed is not None:
-            cross_findings = [
-                finding
-                for finding in cross_findings
-                if finding.rule == "RL012"
-                or os.path.normpath(finding.path) in changed
-            ]
-        findings.extend(cross_findings)
-
+        )
+    findings.extend(run_cross_rules(index, api_baseline=baseline))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings

@@ -1,4 +1,4 @@
-"""Pass 2, cross-file half: rules that need the :class:`ProjectIndex`.
+"""The cross-file rules: the ones that need the whole :class:`ProjectIndex`.
 
 The per-file rules in :mod:`repro.lint.rules` see one module at a time.
 The rules here check contracts that live *between* files:
@@ -11,8 +11,8 @@ The rules here check contracts that live *between* files:
   digest/merge path or materialize an ordered output, or the chained
   decision digest stops being worker-count-invariant.
 - **RL012** — the exported surface of the locked packages is diffed
-  against a committed ``api_baseline.json``; intentional changes
-  rebaseline with ``repro lint --update-api``.
+  against a committed ``api_baseline.json`` when the run is given one;
+  intentional changes rebaseline with ``repro lint --update-api``.
 - **transitive RL001/RL007** — the call graph extends the per-file raw
   Dijkstra / wall-clock rules one-or-more hops: a solver-side call into a
   helper that (transitively) reaches ``time.time()`` or a raw
@@ -26,7 +26,6 @@ pass (the index serializes each file's suppression maps).
 
 from __future__ import annotations
 
-import ast  # noqa: F401  (kept for symmetry with rules.py; fixtures import both)
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.lint.core import Finding
@@ -36,12 +35,12 @@ from repro.lint.rules import _SP_QUALIFIED, _WALL_CLOCK, UncachedShortestPath
 __all__ = [
     "API_LOCKED_PACKAGES",
     "CROSS_RULES",
+    "ApiSurfaceLock",
     "CheckpointStateDrift",
     "CrossRule",
     "DigestMergeOrderNondeterminism",
     "TransitiveSinkReach",
     "compute_api_surface",
-    "diff_api_surface",
     "run_cross_rules",
 ]
 
@@ -49,8 +48,8 @@ __all__ = [
 class CrossRule:
     """Base class for one index-backed rule."""
 
-    #: Stable identifier used in pragmas/baselines (may reuse a per-file
-    #: id when the cross rule extends it transitively).
+    #: Stable identifier used in pragmas (may reuse a per-file id when
+    #: the cross rule extends it transitively).
     id: str = ""
     name: str = ""
     rationale: str = ""
@@ -446,13 +445,6 @@ _TRANSITIVE_RL007 = TransitiveSinkReach(
 #: Packages whose public surface is locked by ``api_baseline.json``.
 API_LOCKED_PACKAGES = ("repro.core", "repro.graph", "repro.stream", "repro.obs")
 
-#: Identifier and hint shared by the surface-diff findings.
-_RL012_ID = "RL012"
-_RL012_HINT = (
-    "if the change is intentional, rebaseline with `repro lint "
-    "--update-api`; otherwise restore the exported surface"
-)
-
 
 def _describe_export(index: ProjectIndex, dotted_name: str) -> Dict[str, Any]:
     """A stable JSON descriptor for one exported name."""
@@ -497,77 +489,86 @@ def compute_api_surface(index: ProjectIndex) -> Dict[str, Any]:
     return {"version": 1, "packages": packages, "modules": modules}
 
 
-def diff_api_surface(
-    index: ProjectIndex,
-    baseline: Dict[str, Any],
-) -> List[Finding]:
-    """RL012 findings: the indexed surface vs the committed baseline.
+class ApiSurfaceLock(CrossRule):
+    """The exported surface drifted from the committed API baseline.
 
-    Packages/modules absent from the *index* are skipped (a ``--changed``
-    or fixture run must never produce spurious RL012 findings); packages/
-    modules present in the index but absent from the *baseline* are
-    compared against an empty surface, so new names force a rebaseline.
+    Runs only when the run is given a baseline document.  Packages and
+    modules absent from the *index* are skipped (a fixture index must
+    never produce spurious findings); packages and modules present in
+    the index but absent from the *baseline* are compared against an
+    empty surface, so new names force a rebaseline.
     """
-    findings: List[Finding] = []
-    current = compute_api_surface(index)
-    base_packages = baseline.get("packages", {})
-    base_modules = baseline.get("modules", {})
 
-    def emit(module: ModuleInfo, message: str) -> None:
-        if module.is_suppressed(_RL012_ID, 1):
-            return
-        findings.append(
-            Finding(
-                rule=_RL012_ID,
-                path=module.path,
-                line=1,
-                col=0,
-                message=message,
-                hint=_RL012_HINT,
-            )
-        )
+    id = "RL012"
+    name = "api-surface-lock"
+    rationale = (
+        "Exported names and signatures of repro.core/graph/stream/obs, "
+        "and each of their modules' public top-level names, must match "
+        "the committed api_baseline.json, so every API change shows up "
+        "as a reviewable baseline diff instead of a silent break."
+    )
+    hint = (
+        "if the change is intentional, rebaseline with `repro lint "
+        "--update-api`; otherwise restore the exported surface"
+    )
 
-    for package, exports in sorted(current["packages"].items()):
-        init_module = index.by_dotted[package]
-        base_exports = base_packages.get(package, {})
-        for name in sorted(set(exports) - set(base_exports)):
-            emit(
-                init_module,
-                f"{package} newly exports {name!r} (not in the API baseline)",
-            )
-        for name in sorted(set(base_exports) - set(exports)):
-            emit(
-                init_module,
-                f"{package} no longer exports {name!r} (locked by the API "
-                "baseline)",
-            )
-        for name in sorted(set(exports) & set(base_exports)):
-            if exports[name] != base_exports[name]:
+    def check(
+        self,
+        index: ProjectIndex,
+        api_baseline: Optional[Dict[str, Any]] = None,
+    ) -> List[Finding]:
+        if api_baseline is None:
+            return []
+        findings: List[Finding] = []
+        current = compute_api_surface(index)
+        base_packages = api_baseline.get("packages", {})
+        base_modules = api_baseline.get("modules", {})
+
+        def emit(module: ModuleInfo, message: str) -> None:
+            self._report(findings, module, 1, 0, message)
+
+        for package, exports in sorted(current["packages"].items()):
+            init_module = index.by_dotted[package]
+            base_exports = base_packages.get(package, {})
+            for name in sorted(set(exports) - set(base_exports)):
                 emit(
                     init_module,
-                    f"signature of {package}.{name} changed from the API "
-                    "baseline",
+                    f"{package} newly exports {name!r} (not in the API "
+                    "baseline)",
                 )
+            for name in sorted(set(base_exports) - set(exports)):
+                emit(
+                    init_module,
+                    f"{package} no longer exports {name!r} (locked by the "
+                    "API baseline)",
+                )
+            for name in sorted(set(exports) & set(base_exports)):
+                if exports[name] != base_exports[name]:
+                    emit(
+                        init_module,
+                        f"signature of {package}.{name} changed from the "
+                        "API baseline",
+                    )
 
-    by_module_key = {info.module: info for info in index.modules.values()}
-    for module_key, names in sorted(current["modules"].items()):
-        module = by_module_key.get(module_key)
-        if module is None:
-            continue
-        base_names = set(base_modules.get(module_key, []))
-        for name in sorted(set(names) - base_names):
-            emit(
-                module,
-                f"new public name {name!r} in {module_key} is not in the "
-                "API baseline",
-            )
-        for name in sorted(base_names - set(names)):
-            emit(
-                module,
-                f"public name {name!r} removed from {module_key} (locked "
-                "by the API baseline)",
-            )
-    return findings
+        by_module_key = {info.module: info for info in index.modules.values()}
+        for module_key, names in sorted(current["modules"].items()):
+            module = by_module_key.get(module_key)
+            if module is None:
+                continue
+            base_names = set(base_modules.get(module_key, []))
+            for name in sorted(set(names) - base_names):
+                emit(
+                    module,
+                    f"new public name {name!r} in {module_key} is not in "
+                    "the API baseline",
+                )
+            for name in sorted(base_names - set(names)):
+                emit(
+                    module,
+                    f"public name {name!r} removed from {module_key} "
+                    "(locked by the API baseline)",
+                )
+        return findings
 
 
 # ----------------------------------------------------------------------
@@ -579,6 +580,7 @@ CROSS_RULES: Tuple[CrossRule, ...] = (
     DigestMergeOrderNondeterminism(),
     _TRANSITIVE_RL001,
     _TRANSITIVE_RL007,
+    ApiSurfaceLock(),
 )
 
 
@@ -586,10 +588,11 @@ def run_cross_rules(
     index: ProjectIndex,
     api_baseline: Optional[Dict[str, Any]] = None,
 ) -> List[Finding]:
-    """Run every cross rule (plus RL012 when a baseline is supplied)."""
+    """Run every cross rule; RL012 runs iff ``api_baseline`` is given."""
     findings: List[Finding] = []
     for rule in CROSS_RULES:
-        findings.extend(rule.check(index))
-    if api_baseline is not None:
-        findings.extend(diff_api_surface(index, api_baseline))
+        if isinstance(rule, ApiSurfaceLock):
+            findings.extend(rule.check(index, api_baseline))
+        else:
+            findings.extend(rule.check(index))
     return findings

@@ -33,6 +33,7 @@ checkpoint leaves the previous checkpoint intact.
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 import tempfile
@@ -49,7 +50,7 @@ from repro.obs.registry import (
     reset as _obs_reset,
     snapshot as _obs_snapshot,
 )
-from repro.stream.engine import StreamEngine
+from repro.stream.engine import StreamEngine, StreamStats
 from repro.workload.request import MulticastRequest
 
 __all__ = [
@@ -330,14 +331,15 @@ def restore_into(engine: StreamEngine, document: Dict[str, Any]) -> None:
     parameters, same stream family and parameters — the ``meta`` block
     records them) and must not have processed anything yet.  After this
     call the engine's next ``run()`` continues the original decision
-    sequence bit-for-bit.
+    sequence bit-for-bit.  The engine's ``stream`` and ``stats`` are
+    replaced by restored copies.
 
     Raises:
         CheckpointError: before anything is restored, if the engine is
             not fresh or has a failure schedule, if the document lacks a
             section or a key that the restore reads, holds a malformed
-            entry, or does not fit this network (other links or servers,
-            or a residual outside ``[0, capacity]``).
+            or wrong-typed entry, or does not fit this network (other
+            links or servers, or a residual outside ``[0, capacity]``).
     """
     _require_failure_free(engine)
     if engine.stats.processed:
@@ -379,6 +381,12 @@ def restore_into(engine: StreamEngine, document: Dict[str, Any]) -> None:
         }
         admitted_total = int(document["algorithm"]["admitted_total"])
         rejected_total = int(document["algorithm"]["rejected_total"])
+        # Decoded into scratch objects now, so that a wrong-typed value is
+        # refused before the network is touched; installed further down.
+        stream = copy.deepcopy(engine.stream)
+        stream.restore(document["stream"])
+        stats = StreamStats()
+        stats.restore(document["stats"])
     except (KeyError, IndexError, TypeError, ValueError, ReproError) as exc:
         raise CheckpointError(f"checkpoint has a malformed entry: {exc!r}") from exc
     try:
@@ -420,8 +428,8 @@ def restore_into(engine: StreamEngine, document: Dict[str, Any]) -> None:
         engine.adopt_active(request.request_id, record)
 
     engine.restore_heap(heap)
-    engine.stream.restore(document["stream"])
-    engine.stats.restore(document["stats"])
+    engine.stream = stream
+    engine.stats = stats
     # The base-class counters are restored in place: no public mutator
     # exists because nothing but a checkpoint may move them without a
     # decision.

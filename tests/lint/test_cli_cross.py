@@ -1,13 +1,13 @@
-"""CLI round-trips for the cross-file pass: --changed, --update-api,
---api-baseline, and the project-index cache."""
+"""CLI round-trips for the cross-file pass: --update-api, --api-baseline,
+and the project-index cache."""
 
 import json
-import subprocess
 import textwrap
 
 import pytest
 
 from repro.cli import main
+from repro.lint import ProjectIndex, iter_python_files
 
 ENGINE = textwrap.dedent(
     """
@@ -38,6 +38,10 @@ def stream_tree(tmp_path, monkeypatch):
     return tmp_path
 
 
+#: The explicit form every check below uses: RL012 runs iff it is given.
+CHECK = ["lint", "src", "--api-baseline", "api_baseline.json"]
+
+
 class TestApiBaselineCli:
     def test_update_then_check_then_break(self, stream_tree, capsys):
         assert main(["lint", "src", "--update-api"]) == 0
@@ -48,21 +52,21 @@ class TestApiBaselineCli:
         )
         assert "repro.stream" in baseline["packages"]
 
-        # clean against the fresh baseline (picked up automatically)
-        assert main(["lint", "src"]) == 0
+        # clean against the fresh baseline
+        assert main(CHECK) == 0
         capsys.readouterr()
 
         # an unexported public function breaks the lock
         engine = stream_tree / "src" / "repro" / "stream" / "engine.py"
         engine.write_text(ENGINE + "\ndef sneaky():\n    pass\n")
-        assert main(["lint", "src"]) == 1
+        assert main(CHECK) == 1
         out = capsys.readouterr().out
         assert "RL012" in out and "sneaky" in out
 
         # rebaselining adopts the change
         assert main(["lint", "src", "--update-api"]) == 0
         capsys.readouterr()
-        assert main(["lint", "src"]) == 0
+        assert main(CHECK) == 0
 
     def test_deleting_an_export_trips(self, stream_tree, capsys):
         assert main(["lint", "src", "--update-api"]) == 0
@@ -71,9 +75,37 @@ class TestApiBaselineCli:
             "from repro.stream.engine import StreamEngine\n"
             '__all__ = ["StreamEngine"]\n'
         )
-        assert main(["lint", "src"]) == 1
+        assert main(CHECK) == 1
         out = capsys.readouterr().out
         assert "no longer exports 'run_stream'" in out
+
+    def test_signature_edit_trips_on_the_package_init(
+        self, stream_tree, capsys
+    ):
+        assert main(["lint", "src", "--update-api"]) == 0
+        capsys.readouterr()
+        engine = stream_tree / "src" / "repro" / "stream" / "engine.py"
+        # the *engine* changes, but the export's finding lands on
+        # __init__.py, a file whose cache entry is still warm
+        engine.write_text(ENGINE.replace(
+            "def run_stream(config):", "def run_stream(config, extra):"
+        ))
+        assert main(CHECK) == 1
+        out = capsys.readouterr().out
+        assert "RL012" in out and "__init__.py" in out
+        assert "run_stream" in out
+
+    def test_lock_runs_only_when_a_baseline_is_given(
+        self, stream_tree, capsys
+    ):
+        # a stale baseline in the cwd is not read unless named
+        (stream_tree / "api_baseline.json").write_text(json.dumps(
+            {"version": 1, "packages": {"repro.stream": {}}, "modules": {}}
+        ))
+        assert main(["lint", "src"]) == 0
+        capsys.readouterr()
+        assert main(CHECK) == 1
+        assert "RL012" in capsys.readouterr().out
 
     def test_explicit_missing_baseline_is_a_usage_error(
         self, stream_tree, capsys
@@ -83,7 +115,7 @@ class TestApiBaselineCli:
 
     def test_malformed_baseline_is_a_usage_error(self, stream_tree, capsys):
         (stream_tree / "api_baseline.json").write_text('{"version": 99}')
-        assert main(["lint", "src"]) == 2
+        assert main(CHECK) == 2
         assert "version-1" in capsys.readouterr().err
 
 
@@ -103,74 +135,19 @@ class TestIndexCacheCli:
         assert not (stream_tree / ".repro_lint_cache.json").exists()
 
 
-def git(*argv, cwd):
-    subprocess.run(
-        ["git", *argv],
-        cwd=cwd,
-        check=True,
-        capture_output=True,
-        env={
-            "GIT_AUTHOR_NAME": "t",
-            "GIT_AUTHOR_EMAIL": "t@example.invalid",
-            "GIT_COMMITTER_NAME": "t",
-            "GIT_COMMITTER_EMAIL": "t@example.invalid",
-            "HOME": str(cwd),
-            "PATH": "/usr/bin:/bin:/usr/local/bin",
-        },
-    )
-
-
 class TestChangedMode:
-    @pytest.fixture
-    def committed_tree(self, stream_tree):
-        git("init", "-q", cwd=stream_tree)
-        git("add", "-A", cwd=stream_tree)
-        git("commit", "-qm", "seed", cwd=stream_tree)
-        return stream_tree
+    """Every cached run re-analyses only the files that changed."""
 
-    def test_no_changes_exits_zero(self, committed_tree, capsys):
-        assert main(["lint", "src", "--changed"]) == 0
-        assert "no changed files" in capsys.readouterr().out
-
-    def test_only_changed_files_report_per_file_findings(
-        self, committed_tree, capsys
-    ):
-        package = committed_tree / "src" / "repro" / "stream"
-        # a per-file violation in a *committed* file stays invisible …
-        (package / "other.py").write_text(
-            "import random\n\ndef f():\n    return random.random()\n"
-        )
-        git("add", "-A", cwd=committed_tree)
-        git("commit", "-qm", "dirty file", cwd=committed_tree)
-        assert main(["lint", "src", "--changed", "HEAD"]) == 0
+    def test_no_changes_exits_zero(self, stream_tree, capsys):
+        assert main(CHECK[:2] + ["--update-api"]) == 0
+        assert main(CHECK) == 0
         capsys.readouterr()
-        # … until it is the one that changed
-        (package / "other.py").write_text(
-            "import random\n\ndef f():\n    return random.random() + 1\n"
+        # the unedited tree is clean again, and nothing is re-parsed
+        assert main(CHECK) == 0
+        assert "0 findings" in capsys.readouterr().out
+        index = ProjectIndex.build(
+            iter_python_files(["src"]),
+            cache_path=".repro_lint_cache.json",
         )
-        assert main(["lint", "src", "--changed", "HEAD"]) == 1
-        out = capsys.readouterr().out
-        assert "RL003" in out and "other.py" in out
+        assert (index.cache_hits, index.cache_misses) == (2, 0)
 
-    def test_untracked_files_are_linted(self, committed_tree, capsys):
-        package = committed_tree / "src" / "repro" / "stream"
-        (package / "fresh.py").write_text(
-            "import random\n\ndef f():\n    return random.random()\n"
-        )
-        assert main(["lint", "src", "--changed"]) == 1
-        assert "fresh.py" in capsys.readouterr().out
-
-    def test_rl012_findings_survive_the_changed_filter(
-        self, committed_tree, capsys
-    ):
-        assert main(["lint", "src", "--update-api"]) == 0
-        capsys.readouterr()
-        engine = committed_tree / "src" / "repro" / "stream" / "engine.py"
-        # the *engine* changes, but the finding lands on __init__.py —
-        # RL012 findings must not be filtered away with it
-        engine.write_text(ENGINE.replace(
-            "def run_stream(config):", "def run_stream(config, extra):"
-        ))
-        assert main(["lint", "src", "--changed", "HEAD"]) == 1
-        out = capsys.readouterr().out
-        assert "RL012" in out and "run_stream" in out

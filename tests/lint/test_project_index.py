@@ -1,4 +1,4 @@
-"""Pass 1 of the analyzer: symbol tables, call graph, and the cache."""
+"""The project index: symbol tables, call graph, and the cache."""
 
 import textwrap
 

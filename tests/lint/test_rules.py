@@ -128,34 +128,6 @@ class TestRL001UncachedShortestPath:
         """
         assert lint(clean, "src/repro/core/foo.py") == []
 
-    AUX_TRIP = """
-        from repro.core.auxiliary import explicit_auxiliary_graph
-
-        def evaluate(ctx, combination):
-            return explicit_auxiliary_graph(ctx, combination)
-    """
-
-    def test_dict_auxiliary_construction_trips_inside_core(self):
-        findings = lint(self.AUX_TRIP, "src/repro/core/fast.py")
-        assert rule_ids(findings) == ["RL001"]
-        assert "explicit_auxiliary_graph" in findings[0].message
-        assert "AuxiliaryCSR" in findings[0].message
-
-    def test_dict_auxiliary_construction_passes_outside_core(self):
-        # the core invariant does not constrain analysis/test tooling
-        assert lint(self.AUX_TRIP, "src/repro/analysis/report.py") == []
-
-    def test_scaled_copy_construction_trips_inside_core(self):
-        via_reexport = """
-            from repro.core import scale_graph
-
-            def reference(graph, bandwidth):
-                return scale_graph(graph, bandwidth)
-        """
-        assert rule_ids(lint(via_reexport, "src/repro/core/foo.py")) == [
-            "RL001"
-        ]
-
     COMPILE_TRIP = """
         from repro.graph.csr import compile_csr
 
@@ -173,16 +145,6 @@ class TestRL001UncachedShortestPath:
     def test_compile_passes_inside_graph_layer_and_outside_core(self):
         assert lint(self.COMPILE_TRIP, "src/repro/graph/spcache.py") == []
         assert lint(self.COMPILE_TRIP, "src/repro/analysis/report.py") == []
-
-    def test_suppressed_reference_construction_passes(self):
-        suppressed = """
-            from repro.core.auxiliary import scale_graph
-
-            def reference(graph, bandwidth):
-                # reference path: materialized copy is the point
-                return scale_graph(graph, bandwidth)  # repro-lint: disable=RL001
-        """
-        assert lint(suppressed, "src/repro/core/fast.py") == []
 
 
 class TestRL002ResidualWrite:
@@ -244,24 +206,13 @@ class TestRL003UnseededRandomness:
         """
         assert rule_ids(lint(snippet, "src/repro/workload/x.py")) == ["RL003"]
 
-    def test_numpy_global_trips(self):
-        snippet = """
-            import numpy as np
-
-            def noise(n):
-                return np.random.rand(n)
-        """
-        assert rule_ids(lint(snippet, "src/repro/analysis/x.py")) == ["RL003"]
-
     def test_seeded_rng_passes(self):
         clean = """
             import random
-            import numpy as np
 
             def sample(seed):
                 rng = random.Random(seed)
-                gen = np.random.default_rng(seed)
-                return rng.random(), gen.random()
+                return rng.random()
         """
         assert lint(clean, "src/repro/workload/x.py") == []
 

@@ -1,13 +1,8 @@
-"""Suppression pragmas and baseline round-trips."""
+"""Suppression pragmas: line, standalone, multi-rule and file-wide."""
 
 import textwrap
 
-from repro.lint import (
-    filter_with_baseline,
-    lint_source,
-    load_baseline,
-    write_baseline,
-)
+from repro.lint import lint_source
 
 PATH = "src/repro/core/x.py"
 
@@ -95,54 +90,3 @@ class TestFileSuppression:
         """
         assert [f.rule for f in lint(snippet)] == ["RL003"]
 
-
-class TestBaseline:
-    SNIPPET = """
-        import random
-
-        def f():
-            return random.random()
-    """
-
-    def test_round_trip_filters_known_findings(self, tmp_path):
-        findings = lint(self.SNIPPET)
-        assert len(findings) == 1
-        baseline_path = tmp_path / "baseline.json"
-        count = write_baseline(str(baseline_path), findings)
-        assert count == 1
-        baseline = load_baseline(str(baseline_path))
-        new, stale = filter_with_baseline(findings, baseline)
-        assert new == []
-        assert stale == []
-
-    def test_missing_file_is_empty_baseline(self, tmp_path):
-        assert load_baseline(str(tmp_path / "nope.json")) == set()
-
-    def test_baseline_is_line_number_free(self, tmp_path):
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(str(baseline_path), lint(self.SNIPPET))
-        shifted = "# a new comment line shifts everything down\n" + textwrap.dedent(
-            self.SNIPPET
-        )
-        new, stale = filter_with_baseline(
-            lint_source(shifted, path=PATH),
-            load_baseline(str(baseline_path)),
-        )
-        assert new == []
-        assert stale == []
-
-    def test_fixed_findings_become_stale_entries(self, tmp_path):
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(str(baseline_path), lint(self.SNIPPET))
-        clean = """
-            import random
-
-            def f(seed):
-                return random.Random(seed).random()
-        """
-        new, stale = filter_with_baseline(
-            lint(clean), load_baseline(str(baseline_path))
-        )
-        assert new == []
-        assert len(stale) == 1
-        assert stale[0][0] == "RL003"

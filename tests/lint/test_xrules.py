@@ -10,10 +10,10 @@ import textwrap
 from repro.lint.project import ProjectIndex
 from repro.lint.xrules import (
     CROSS_RULES,
+    ApiSurfaceLock,
     CheckpointStateDrift,
     DigestMergeOrderNondeterminism,
     compute_api_surface,
-    diff_api_surface,
     run_cross_rules,
 )
 
@@ -485,6 +485,8 @@ class TestTransitiveRL007:
 
 
 class TestRL012ApiSurfaceLock:
+    RULE = ApiSurfaceLock()
+
     SOURCES = {
         "src/repro/stream/__init__.py": """
             from repro.stream.engine import StreamEngine, run_stream
@@ -527,7 +529,7 @@ class TestRL012ApiSurfaceLock:
 
     def test_unchanged_surface_is_clean(self):
         index = make_index(self.SOURCES)
-        assert diff_api_surface(index, compute_api_surface(index)) == []
+        assert self.RULE.check(index, compute_api_surface(index)) == []
 
     def test_new_unexported_public_function_trips(self):
         changed = dict(self.SOURCES)
@@ -535,7 +537,7 @@ class TestRL012ApiSurfaceLock:
             "\n            def sneaky_new_api():\n                pass\n"
         )
         baseline = self.surface()
-        findings = diff_api_surface(make_index(changed), baseline)
+        findings = self.RULE.check(make_index(changed), baseline)
         assert rule_ids(findings) == ["RL012"]
         assert "sneaky_new_api" in findings[0].message
 
@@ -545,7 +547,7 @@ class TestRL012ApiSurfaceLock:
             from repro.stream.engine import StreamEngine
             __all__ = ["StreamEngine"]
         """
-        findings = diff_api_surface(make_index(changed), self.surface())
+        findings = self.RULE.check(make_index(changed), self.surface())
         assert rule_ids(findings) == ["RL012"]
         assert "run_stream" in findings[0].message
 
@@ -555,18 +557,28 @@ class TestRL012ApiSurfaceLock:
             "src/repro/stream/engine.py"
         ].replace("def run_stream(config, *, limit=None):",
                   "def run_stream(config, limit=None, extra=0):")
-        findings = diff_api_surface(make_index(changed), self.surface())
+        findings = self.RULE.check(make_index(changed), self.surface())
         assert rule_ids(findings) == ["RL012"]
         assert "run_stream" in findings[0].message
 
     def test_partial_index_skips_absent_packages(self):
-        # a --changed/fixture slice without repro.obs etc. must not
-        # produce spurious RL012 findings for the missing packages
+        # a fixture slice without repro.obs etc. must not produce
+        # spurious RL012 findings for the missing packages
         baseline = self.surface()
         baseline["packages"]["repro.obs"] = {"Window": {"kind": "class"}}
         baseline["modules"]["repro/obs/window.py"] = ["Window"]
         index = make_index(self.SOURCES)
-        assert diff_api_surface(index, baseline) == []
+        assert self.RULE.check(index, baseline) == []
+
+    def test_runs_with_the_cross_rules_only_given_a_baseline(self):
+        changed = dict(self.SOURCES)
+        changed["src/repro/stream/engine.py"] += (
+            "\n            def sneaky_new_api():\n                pass\n"
+        )
+        index = make_index(changed)
+        assert "RL012" not in rule_ids(run_cross_rules(index))
+        findings = run_cross_rules(index, api_baseline=self.surface())
+        assert rule_ids(findings) == ["RL012"]
 
 
 class TestCrossRuleFramework:
@@ -577,3 +589,4 @@ class TestCrossRuleFramework:
             assert rule.name and rule.rationale and rule.hint
             seen.add((rule.id, rule.name))
         assert len(seen) == len(CROSS_RULES)
+        assert "RL012" in {rule.id for rule in CROSS_RULES}

@@ -188,6 +188,26 @@ class TestValidation:
         del container[key]
         self.refused_untouched(document, config, donor, repr(key))
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("stats", "processed", "x"),
+            ("stream", "clock", "x"),
+            ("stats", "recent", 5),
+        ],
+    )
+    def test_restore_refuses_wrong_type_before_touching(
+        self, section, key, value
+    ):
+        # the stream and stats sections are installed after the network
+        # is restored, so they must be decoded before it is touched
+        config = small_config(requests=40)
+        donor = build_engine(config)
+        donor.run(max_events=20)
+        document = capture(donor, meta=config.as_dict())
+        document[section][key] = value
+        self.refused_untouched(document, config, donor, "malformed")
+
     @pytest.mark.parametrize("kind", ["links", "servers"])
     @pytest.mark.parametrize("residual", [-5.0, 1e9])
     def test_restore_refuses_impossible_residual_before_touching(

@@ -80,6 +80,20 @@ class TestCli:
         assert f"wrote {metrics}" in out
         assert f"wrote {prom}" in out
 
+    @pytest.mark.parametrize(
+        "target, flag",
+        [("obs", ["--quick"]), ("stream", ["--rounds", "2"])],
+    )
+    def test_bench_refuses_a_flag_its_target_ignores(
+        self, tmp_path, capsys, target, flag
+    ):
+        output = tmp_path / "bench.json"
+        argv = ["bench", "--target", target, "--output", str(output), *flag]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert flag[0] in err and target in err
+        assert not output.exists()  # refused before any benchmark ran
+
     def test_bench_writes_artifact(self, tmp_path, capsys):
         import json
 
