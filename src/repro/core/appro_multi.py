@@ -28,9 +28,14 @@ from repro.core.auxiliary import (
     evaluate_combination,
     iter_combinations,
 )
-from repro.core.fasteval import AnySolution, CSRCombinationEvaluator
+from repro.core.fasteval import (
+    _BOUND_MARGIN,
+    AnySolution,
+    CSRCombinationEvaluator,
+)
 from repro.core.pseudo_tree import PseudoMulticastTree
 from repro.exceptions import InfeasibleRequestError
+from repro.graph.shortest_paths import INFINITY
 from repro.network.sdn import SDNetwork
 from repro.obs import (
     inc as _obs_inc,
@@ -101,10 +106,13 @@ def _search(
     incumbent tightens as early as possible and prunes most full
     evaluations.  The result is exactly that of :func:`_search_reference`
     in every case, including cost ties: a combination is skipped only when
-    its admissible bound strictly exceeds the incumbent (it can then
-    neither beat nor tie the final answer), and among evaluated equal-cost
-    solutions the one earliest in the reference enumeration order wins —
-    the same lexicographic ``(cost, index)`` minimum the reference's
+    its admissible bound exceeds the incumbent by more than the relative
+    ``_BOUND_MARGIN`` (the bound sums distances in another order than the
+    tree cost it bounds, so in floats it may sit a few ulps above that
+    cost; beyond the margin the combination can neither beat nor tie the
+    final answer), and among evaluated equal-cost solutions the one
+    earliest in the reference enumeration order wins — the same
+    lexicographic ``(cost, index)`` minimum the reference's
     first-strict-improvement loop selects.  Only the evaluated/pruned
     statistics may differ.
     """
@@ -118,11 +126,12 @@ def _search(
 
     best: Optional[AnySolution] = None
     best_index = -1
+    limit = INFINITY
     evaluated = 0
     pruned = 0
     with _obs_span("evaluate"):
         for index in order:
-            if best is not None and bounds[index] > best.cost:
+            if bounds[index] > limit:
                 # Everything later in the order is bounded even higher.
                 pruned += len(combinations) - evaluated - pruned
                 break
@@ -141,6 +150,7 @@ def _search(
             ):
                 best = solution
                 best_index = index
+                limit = best.cost + abs(best.cost) * _BOUND_MARGIN
     _obs_inc("appro_multi.combinations_evaluated", evaluated)
     _obs_inc("appro_multi.combinations_pruned", pruned)
     if best is None:

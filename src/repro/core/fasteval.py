@@ -23,6 +23,11 @@ solution is **bit-for-bit identical** to the reference evaluator's, dict
 insertion order included — the differential test harness holds this to
 account on seeded instances.
 
+Two more memos skip repeat work within a request: combinations with the
+same zero set and winning servers share one solution (one Prim run), and
+solutions whose closure MSTs have the same *shape* share one expansion,
+Kruskal forest and leaf pruning (see ``CSRCombinationEvaluator._shapes``).
+
 :meth:`CSRCombinationEvaluator.lower_bound` additionally exposes an
 admissible bound — any tree for the combination contains, for every
 destination ``y``, a path ``s' → y`` of weight at least the closure edge
@@ -59,6 +64,13 @@ from repro.obs import inc as _obs_inc, span as _obs_span
 #: incumbent, so no tree was (or needed to be) computed.
 PRUNED = object()
 
+
+#: Relative margin of both combination prunes (``evaluate``'s
+#: :data:`PRUNED` test and ``appro_multi._search``'s break).  A lower bound
+#: adds up other distances in another order than the tree cost it bounds,
+#: so it may sit a few ulps above that cost; 1e-9 is far above such
+#: rounding.
+_BOUND_MARGIN = 1e-9
 
 #: Distinguishes "memoized None" from "not yet memoized" in flat memos.
 _MISSING = object()
@@ -106,6 +118,10 @@ class _FlatTreeBox:
                 }
             graph = self.graph = Graph.from_adjacency(mapping)
         return graph
+
+
+#: A solved solution key: ``(used servers, cost, tree box)``.
+_Answer = Tuple[Tuple[Node, ...], float, _FlatTreeBox]
 
 
 class CSRSubsetSolution:
@@ -184,6 +200,7 @@ class CSRCombinationEvaluator:
         "_paths",
         "_winner_memo",
         "_solutions",
+        "_shapes",
     )
 
     def __init__(self, ctx: AuxiliaryContext) -> None:
@@ -229,8 +246,17 @@ class CSRCombinationEvaluator:
         self._paths: Dict[Tuple, Tuple] = {}
         #: ``(zero ids, member ids)`` → (winner list, lower bound).
         self._winner_memo: Dict[Tuple, Tuple] = {}
-        #: ``(zero ids, winner vector)`` → finished solution (or None).
-        self._solutions: Dict[Tuple, Optional[CSRSubsetSolution]] = {}
+        #: ``(zero ids, winner vector)`` → solved key (or None).
+        self._solutions: Dict[Tuple, Optional[_Answer]] = {}
+        #: closure-MST shape → solved key (or None).  The shape is the
+        #: zero ids, the MST's ``(cu, cv)`` edges in ``flat_edges`` order
+        #: and the winning server of each edge at ``s'``: the expansion
+        #: ignores closure weights, a winner's case and path are functions
+        #: of (zero, server, destination) and the pair cases and paths are
+        #: memoized per zero set, so two keys with one shape expand to the
+        #: same adjacency, dict insertion order included, and everything
+        #: after the expansion reads only that adjacency.
+        self._shapes: Dict[Tuple, Optional[_Answer]] = {}
 
     # ------------------------------------------------------------------
     # id projection
@@ -545,12 +571,14 @@ class CSRCombinationEvaluator:
     ):
         """Flat replay of ``evaluate_combination`` (bit-identical decode).
 
-        ``None`` for infeasible combinations, :data:`PRUNED` when
+        ``None`` for infeasible combinations; :data:`PRUNED` when
         ``bound`` (the incumbent best cost) is given and the admissible
-        lower bound already reaches it — such a combination can never
-        replace the incumbent under the search's strict-improvement rule —
-        otherwise a :class:`CSRSubsetSolution` whose decoded tree equals
-        the reference's tree field for field.
+        lower bound exceeds it by more than the relative
+        ``_BOUND_MARGIN`` (a bound may sit a few ulps above the cost it
+        bounds, so only beyond the margin can the combination never
+        replace the incumbent under the search's strict-improvement
+        rule); otherwise a :class:`CSRSubsetSolution` whose decoded tree
+        equals the reference's tree field for field.
         """
         member_nodes, members, zero = self._ids(combination)
         if not members:
@@ -562,7 +590,7 @@ class CSRCombinationEvaluator:
             return None
 
         winners, lower, winner_servers = self._winners_for(zero, members)
-        if bound is not None and lower >= bound:
+        if bound is not None and lower > bound + abs(bound) * _BOUND_MARGIN:
             _obs_inc("fasteval.bound_pruned")
             return PRUNED
         if winners is None:
@@ -571,18 +599,35 @@ class CSRCombinationEvaluator:
         # Keyed on the winning-server vector — same partition as a
         # winner-tuple key (see _winners), far cheaper to hash.
         memo_key = (zero, winner_servers)
-        cached = self._solutions.get(memo_key, _MISSING)
-        if cached is not _MISSING:
-            _obs_inc("fasteval.solution_memo_hits")
-            if cached is None:
-                return None
-            return CSRSubsetSolution(
-                combination=member_nodes,
-                used_servers=cached.used_servers,
-                cost=cached.cost,
-                box=cached._box,
+        answer = self._solutions.get(memo_key, _MISSING)
+        if answer is _MISSING:
+            answer = self._solutions[memo_key] = self._kmb(
+                members, zero, closure_data, winners, winner_servers
             )
+        else:
+            _obs_inc("fasteval.solution_memo_hits")
+        if answer is None:
+            return None
+        used, cost, box = answer
+        return CSRSubsetSolution(
+            combination=member_nodes, used_servers=used, cost=cost, box=box
+        )
 
+    def _kmb(
+        self,
+        members: Tuple[int, ...],
+        zero: Tuple[int, ...],
+        closure_data: Tuple[List[List[float]], Dict],
+        winners: List[Tuple],
+        winner_servers: Tuple[int, ...],
+    ) -> Optional[_Answer]:
+        """KMB for one solution key: ``(used servers, cost, tree box)``.
+
+        Prim runs on every key.  The rest of the pipeline — expansion,
+        Kruskal, leaf pruning, the used-server sort and the cost sum —
+        reads only the closure MST's *shape* and is memoized on it (see
+        ``_shapes``).
+        """
         # Only the virtual block varies across the sweep: select the
         # combination on the shared CSR auxiliary view, rewrite closure
         # row/column 0, and leave every other array untouched.
@@ -597,13 +642,27 @@ class CSRCombinationEvaluator:
                 matrix[i + 1][0] = total
 
             tree_adj = prim_closure(matrix, self._closure_orders)
+            links = [(cu, cv) for cu, cv, _ in flat_edges(tree_adj)]
+            shape = (
+                zero,
+                tuple(links),
+                tuple(
+                    winner_servers[(cv if cu == 0 else cu) - 1]
+                    for cu, cv in links
+                    if cu == 0 or cv == 0
+                ),
+            )
+            answer = self._shapes.get(shape, _MISSING)
+            if answer is not _MISSING:
+                _obs_inc("fasteval.shape_memo_hits")
+                return answer
 
             # --- expansion, walking closure-tree edges in edges() order
             dests = self._dests
             virtual = self._virtual
             vweight = self._vweight
             exp: Dict[int, Dict[int, float]] = {}
-            for cu, cv, _ in flat_edges(tree_adj):
+            for cu, cv in links:
                 if cu == 0 or cv == 0:
                     position = (cv if cu == 0 else cu) - 1
                     _, server, case, v1, v2 = winners[position]
@@ -640,28 +699,18 @@ class CSRCombinationEvaluator:
                 # copy has nothing to protect
                 pruned = prune_leaves_flat(forest, self._protected)
 
+        answer = None
         virtual_row = pruned.get(self._virtual)
         if virtual_row:
             nodes = self._nodes
-            used = tuple(
-                sorted((nodes[v] for v in virtual_row), key=repr)
-            )
-        else:
-            used = ()
-        if not used:
-            self._solutions[memo_key] = None
-            return None
-        # total_weight() replica: sum() over the weights in edges() order
-        # (sum(), not a += loop: CPython 3.12's float sum() is compensated).
-        cost = sum([w for _, _, w in flat_edges(pruned)])
-        solution = CSRSubsetSolution(
-            combination=member_nodes,
-            used_servers=used,
-            cost=cost,
-            box=_FlatTreeBox(pruned, self._nodes, self._virtual),
-        )
-        self._solutions[memo_key] = solution
-        return solution
+            used = tuple(sorted((nodes[v] for v in virtual_row), key=repr))
+            # total_weight() replica: sum() over the weights in edges()
+            # order (sum(), not a += loop: CPython 3.12's float sum() is
+            # compensated).
+            cost = sum([w for _, _, w in flat_edges(pruned)])
+            answer = (used, cost, _FlatTreeBox(pruned, nodes, self._virtual))
+        self._shapes[shape] = answer
+        return answer
 
 
 #: Either solution type — the reference ``SubsetSolution`` or the flat

@@ -37,7 +37,7 @@ import copy
 import json
 import os
 import tempfile
-from typing import Any, Dict, Hashable, List, Optional
+from typing import Any, Dict, Hashable, Optional
 
 from repro.exceptions import NetworkModelError, ReproError, SimulationError
 from repro.network.allocation import AllocationTransaction

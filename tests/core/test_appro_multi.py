@@ -1,14 +1,22 @@
 """Unit tests for Appro_Multi and Appro_Multi_Cap (Algorithm 1)."""
 
+import importlib
+import math
+
 import pytest
 
+from repro.analysis.common import build_real_network, make_requests
 from repro.core import (
+    CSRCombinationEvaluator,
     appro_multi,
     appro_multi_cap,
     appro_multi_detailed,
+    build_context,
+    iter_combinations,
     optimal_auxiliary_cost,
     validate_pseudo_tree,
 )
+from repro.core.appro_multi import _search, _search_reference
 from repro.exceptions import InfeasibleRequestError
 from repro.graph import Graph
 from repro.network import build_sdn
@@ -236,3 +244,72 @@ class TestCapacitatedVariant:
             except InfeasibleRequestError:
                 continue
             assert cap >= uncap - 1e-6
+
+
+#: ``(seed, request id)`` of ``appro-geant-batch`` requests (the benchmark's
+#: GÉANT batch: K = 3, ``D_max/|V|`` = 0.2, requests drawn with seed + 1)
+#: whose cheapest cost is reached, to the last bit, by two distinct trees:
+#: combinations 66 and 72, both serving from Amsterdam.
+GEANT_TIES = [(20170605, 1104), (7, 1713), (9, 648)]
+
+
+def geant_batch_context(seed, request_id):
+    """``(context, request)`` as ``appro_multi`` builds it for one request."""
+    network = build_real_network("GEANT", 0)
+    request = make_requests(network.graph, request_id, 0.2, seed + 1)[-1]
+    assert request.request_id == request_id
+    ctx = build_context(
+        graph=network.graph,
+        source=request.source,
+        destinations=sorted(request.destinations, key=repr),
+        servers=network.server_nodes,
+        chain_cost={
+            v: network.chain_cost(v, request.compute_demand)
+            for v in network.server_nodes
+        },
+        bandwidth=request.bandwidth,
+        cache=network.path_cache(),
+    )
+    return ctx, request
+
+
+def search_bits(search, ctx, request):
+    tree = search(ctx, request, 3).tree
+    return tree.servers, tree.distribution_edges, tree.total_cost.hex()
+
+
+class TestCostTies:
+    """``_search`` breaks exact cost ties as the seed loop does."""
+
+    @pytest.mark.parametrize("seed, request_id", GEANT_TIES)
+    def test_tied_geant_requests_match_seed_search(self, seed, request_id):
+        ctx, request = geant_batch_context(seed, request_id)
+        assert search_bits(_search, ctx, request) == search_bits(
+            _search_reference, ctx, request
+        )
+
+    def test_bound_an_ulp_above_a_tie_does_not_skip_it(self, monkeypatch):
+        """A lower bound sums distances in another order than the cost it
+        bounds, so it may sit an ulp above that cost.  Forced there on
+        combination 66 while tied combination 72 is evaluated first, the
+        prune must still evaluate 66, the tie the seed loop returns."""
+        ctx, request = geant_batch_context(20170605, 1104)
+        combinations = list(iter_combinations(ctx.candidate_servers, 3))
+        cost = CSRCombinationEvaluator(ctx).evaluate(combinations[66]).cost
+        forced = {
+            combinations[66]: math.nextafter(cost, math.inf),
+            combinations[72]: 0.0,
+        }
+
+        class SkewedBounds(CSRCombinationEvaluator):
+            def lower_bound(self, combination):
+                if combination in forced:
+                    return forced[combination]
+                return super().lower_bound(combination)
+
+        # ``repro.core.appro_multi`` names the function, not the module
+        module = importlib.import_module("repro.core.appro_multi")
+        monkeypatch.setattr(module, "CSRCombinationEvaluator", SkewedBounds)
+        assert search_bits(_search, ctx, request) == search_bits(
+            _search_reference, ctx, request
+        )

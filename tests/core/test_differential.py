@@ -44,6 +44,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
+from repro.analysis.common import build_real_network, make_requests
 from repro.core import (
     VIRTUAL_SOURCE,
     CSRCombinationEvaluator,
@@ -214,19 +215,35 @@ class TestConstructionIdentity:
                 steiner_tree_cost(reference), rel=1e-9
             )
 
-    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("seed", [*SEEDS, "geant-batch"])
     def test_per_combination_solutions_match_reference_evaluator(self, seed):
-        """Same context, every combination up to K=3: identical bits."""
-        network, request = make_instance(seed)
-        try:
-            ctx = cached_context(network, request)
-        except InfeasibleRequestError:
-            return
-        evaluator = CSRCombinationEvaluator(ctx)
-        for combination in iter_combinations(ctx.candidate_servers, 3):
-            assert solution_bits(
-                evaluator.evaluate(combination)
-            ) == solution_bits(evaluate_combination(ctx, combination))
+        """Same context, every combination up to K=3: identical bits.
+
+        ``geant-batch`` is the first 40 requests of the benchmark's
+        default-seed ``appro-geant-batch`` pass, where closure-MST shapes
+        repeat, so there the shape memo must serve some solutions.
+        """
+        if seed == "geant-batch":
+            network = build_real_network("GEANT", 0)
+            requests = make_requests(network.graph, 40, 0.2, 20170605 + 1)
+            instances = [(network, request) for request in requests]
+        else:
+            instances = [make_instance(seed)]
+        obs.enable()
+        before = obs.counters()
+        for network, request in instances:
+            try:
+                ctx = cached_context(network, request)
+            except InfeasibleRequestError:
+                continue
+            evaluator = CSRCombinationEvaluator(ctx)
+            for combination in iter_combinations(ctx.candidate_servers, 3):
+                assert solution_bits(
+                    evaluator.evaluate(combination)
+                ) == solution_bits(evaluate_combination(ctx, combination))
+        if seed == "geant-batch":
+            counters = obs.counters_since(before)
+            assert counters.get("fasteval.shape_memo_hits", 0) > 0
 
 
 def appro_multi_cap_reference(network, request, max_servers):
