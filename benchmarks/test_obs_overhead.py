@@ -12,6 +12,8 @@ test re-measures the same quantity on the same machine, immediately after
 the artifact is written, and asserts the fresh measurement is within
 ``MAX_OVERHEAD`` (5%) of the recorded baseline.  Record-then-assert on one
 runner keeps the check about *instrumentation drift*, not machine speed.
+The guard only reads the artifact: when it is missing, the baseline is
+measured in memory and nothing is written.
 
 Like the other wall-clock benches, CI runs this in the non-blocking
 benchmark job — timing noise must never block a merge.
@@ -22,8 +24,8 @@ flushing JSONL deltas every N requests must cost at most 5% over the same
 run with telemetry disabled.  ``repro bench --target stream-obs``
 (``repro.obs.bench.run_stream_benchmark``) measures both sides on one
 machine and records them under the ``"stream"`` key of ``BENCH_obs.json``;
-:func:`check_stream_overhead` re-runs the measurement fresh and asserts
-the ratio.
+:func:`check_stream_overhead` re-runs the measurement fresh, in memory,
+and asserts the ratio.
 
 Run without pytest::
 
@@ -38,7 +40,6 @@ from repro.obs.bench import (
     DEFAULT_REQUESTS,
     DEFAULT_SEED,
     measure_disabled_seconds,
-    run_obs_benchmark,
     run_stream_benchmark,
 )
 
@@ -55,9 +56,9 @@ RESULT_PATH = os.path.join(_HERE, "..", "BENCH_obs.json")
 
 
 def _baseline_seconds():
-    """Read the recorded baseline, producing the artifact if absent."""
+    """Read the recorded baseline, measuring it in memory if absent."""
     if not os.path.exists(RESULT_PATH):
-        run_obs_benchmark(output_path=RESULT_PATH)
+        return measure_disabled_seconds()
     with open(RESULT_PATH, encoding="utf-8") as handle:
         return json.load(handle)["disabled_baseline_seconds"]
 
@@ -81,15 +82,14 @@ def check_stream_overhead():
     """Measure the enabled-emitter stream run against its disabled twin.
 
     Re-measures rather than trusting the committed artifact so the check
-    is about *this* tree's instrumentation, then rewrites the ``"stream"``
-    section of ``BENCH_obs.json`` with the fresh numbers (record-then-
-    assert, like the disabled-mode guard above).  Runs at the full
-    default stream size: the emitter's fixed costs (sink setup, first
+    is about *this* tree's instrumentation.  The fresh numbers stay in
+    memory: the guard never rewrites the artifact it checks.  Runs at the
+    full default stream size: the emitter's fixed costs (sink setup, first
     flush) amortize over the stream, and a short run would measure those
     instead of the steady-state per-request overhead the contract is
     about.
     """
-    payload = run_stream_benchmark(output_path=RESULT_PATH, rounds=GUARD_ROUNDS)
+    payload = run_stream_benchmark(output_path=None, rounds=GUARD_ROUNDS)
     return {
         "disabled_seconds": payload["disabled_seconds"],
         "enabled_seconds": payload["enabled_seconds"],

@@ -18,7 +18,6 @@ from repro import (
     build_sdn,
     run_sequential_capacitated,
 )
-from repro.exceptions import InfeasibleRequestError
 from repro.nfv import FunctionType, ServiceChain
 from repro.topology import transit_stub_graph
 from repro.workload import MulticastRequest

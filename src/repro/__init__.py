@@ -21,87 +21,62 @@ Quickstart::
     print(tree.describe())
 """
 
-from repro.core import (
-    AdmissionPolicy,
-    ExponentialCostModel,
-    LinearCostModel,
-    OnlineCP,
-    OnlineCPK,
-    PseudoMulticastTree,
-    SPOnline,
-    alg_one_server,
-    appro_multi,
-    appro_multi_cap,
-    operational_cost,
-    validate_pseudo_tree,
-)
-from repro.exceptions import (
-    InfeasibleRequestError,
-    ReproError,
-)
-from repro.graph import Graph, kmb_steiner_tree
-from repro.network import Controller, SDNetwork, VMRegistry, build_sdn
-from repro.nfv import FunctionType, ServiceChain
-from repro.simulation import (
-    run_offline,
-    run_sequential_capacitated,
-)
-from repro.topology import (
-    geant_graph,
-    geant_servers,
-    gt_itm_flat,
-    rocketfuel_graph,
-    rocketfuel_servers,
-    waxman_graph,
-)
-from repro.workload import (
-    MulticastRequest,
-    RequestGenerator,
-    WorkloadConfig,
-    generate_workload,
-)
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
+#: Every exported name and the module that defines it.  Names resolve on
+#: first use (PEP 562), so ``import repro`` loads no solver module and
+#: ``repro lint`` starts without the solver stack.
+_EXPORTS = {
     # core algorithms
-    "appro_multi",
-    "appro_multi_cap",
-    "OnlineCP",
-    "OnlineCPK",
-    "SPOnline",
-    "alg_one_server",
-    "PseudoMulticastTree",
-    "operational_cost",
-    "validate_pseudo_tree",
-    "ExponentialCostModel",
-    "LinearCostModel",
-    "AdmissionPolicy",
+    "appro_multi": "repro.core.appro_multi",
+    "appro_multi_cap": "repro.core.appro_multi",
+    "OnlineCP": "repro.core.online_cp",
+    "OnlineCPK": "repro.core.online_multi",
+    "SPOnline": "repro.core.baselines",
+    "alg_one_server": "repro.core.baselines",
+    "PseudoMulticastTree": "repro.core.pseudo_tree",
+    "operational_cost": "repro.core.pseudo_tree",
+    "validate_pseudo_tree": "repro.core.pseudo_tree",
+    "ExponentialCostModel": "repro.core.cost_model",
+    "LinearCostModel": "repro.core.cost_model",
+    "AdmissionPolicy": "repro.core.admission",
     # substrates
-    "Graph",
-    "kmb_steiner_tree",
-    "SDNetwork",
-    "build_sdn",
-    "Controller",
-    "VMRegistry",
-    "FunctionType",
-    "ServiceChain",
+    "Graph": "repro.graph.graph",
+    "kmb_steiner_tree": "repro.graph.steiner",
+    "SDNetwork": "repro.network.sdn",
+    "build_sdn": "repro.network.sdn",
+    "Controller": "repro.network.controller",
+    "FunctionType": "repro.nfv.functions",
+    "ServiceChain": "repro.nfv.service_chain",
     # topologies
-    "gt_itm_flat",
-    "waxman_graph",
-    "geant_graph",
-    "geant_servers",
-    "rocketfuel_graph",
-    "rocketfuel_servers",
+    "gt_itm_flat": "repro.topology.random_graphs",
+    "waxman_graph": "repro.topology.random_graphs",
+    "geant_graph": "repro.topology.geant",
+    "geant_servers": "repro.topology.geant",
+    "rocketfuel_graph": "repro.topology.rocketfuel",
+    "rocketfuel_servers": "repro.topology.rocketfuel",
     # workload + simulation
-    "MulticastRequest",
-    "RequestGenerator",
-    "WorkloadConfig",
-    "generate_workload",
-    "run_offline",
-    "run_sequential_capacitated",
+    "MulticastRequest": "repro.workload.request",
+    "RequestGenerator": "repro.workload.generator",
+    "WorkloadConfig": "repro.workload.generator",
+    "generate_workload": "repro.workload.generator",
+    "run_offline": "repro.simulation.engine",
+    "run_sequential_capacitated": "repro.simulation.engine",
     # errors
-    "ReproError",
-    "InfeasibleRequestError",
-]
+    "ReproError": "repro.exceptions",
+    "InfeasibleRequestError": "repro.exceptions",
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name):
+    # An unknown name raises AttributeError, which ``from repro import
+    # obs`` needs in order to fall back to importing the subpackage.
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_EXPORTS[name]), name)
+    globals()[name] = value
+    return value

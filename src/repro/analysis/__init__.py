@@ -1,111 +1,64 @@
 """Analysis: one reproduction driver per figure of the paper."""
 
-from repro.analysis.ablations import (
-    ablate_cost_model,
-    ablate_k,
-    ablate_kmb_quality,
-    ablate_online_k,
-    ablate_thresholds,
-    ablate_topology_family,
-    run_ablations,
-)
-from repro.analysis.ascii_plot import render_chart
-from repro.analysis.competitive import (
-    offline_oracle_admissions,
-    run_competitive,
-)
-from repro.analysis.export import (
-    figure_to_csv,
-    figure_to_dict,
-    results_to_json,
-    write_json,
-)
-from repro.analysis.confidence_runs import run_fig8_ci
-from repro.analysis.fig5 import run_fig5
-from repro.analysis.fig6 import FIG6_RATIOS, run_fig6
-from repro.analysis.fig7 import FIG7_RATIO, run_fig7
-from repro.analysis.fig8 import run_fig8
-from repro.analysis.fig9 import run_fig9
-from repro.analysis.profiles import (
-    FAST_PROFILE,
-    ONLINE_ALPHA_BETA,
-    PAPER_PROFILE,
-    ExperimentProfile,
-    get_profile,
-)
-from repro.analysis.report import (
-    EXPERIMENTS,
-    build_experiments_markdown,
-    run_all,
-    run_experiment,
-)
-from repro.analysis.series import FigureResult, Series, render_table
-from repro.analysis.stats import (
-    SampleSummary,
-    aggregate_over_seeds,
-    curves_with_confidence,
-    summarize,
-    t_quantile_975,
-)
-from repro.analysis.verdicts import (
-    ClaimVerdict,
-    render_verdicts,
-    verdicts_markdown,
-    verify_results,
-)
-from repro.analysis.visualize import (
-    graph_to_dot,
-    network_to_dot,
-    tree_to_dot,
-    write_dot,
-)
+import importlib
 
-__all__ = [
-    "run_fig5",
-    "run_fig6",
-    "run_fig7",
-    "run_fig8",
-    "run_fig9",
-    "run_ablations",
-    "run_competitive",
-    "run_fig8_ci",
-    "offline_oracle_admissions",
-    "render_chart",
-    "figure_to_csv",
-    "figure_to_dict",
-    "results_to_json",
-    "write_json",
-    "ablate_k",
-    "ablate_online_k",
-    "ablate_topology_family",
-    "ablate_cost_model",
-    "ablate_thresholds",
-    "ablate_kmb_quality",
-    "FIG6_RATIOS",
-    "FIG7_RATIO",
-    "ExperimentProfile",
-    "FAST_PROFILE",
-    "PAPER_PROFILE",
-    "ONLINE_ALPHA_BETA",
-    "get_profile",
-    "EXPERIMENTS",
-    "run_all",
-    "run_experiment",
-    "build_experiments_markdown",
-    "FigureResult",
-    "Series",
-    "render_table",
-    "SampleSummary",
-    "summarize",
-    "aggregate_over_seeds",
-    "curves_with_confidence",
-    "t_quantile_975",
-    "graph_to_dot",
-    "network_to_dot",
-    "tree_to_dot",
-    "write_dot",
-    "ClaimVerdict",
-    "verify_results",
-    "render_verdicts",
-    "verdicts_markdown",
-]
+#: Every exported name and the module that defines it, imported on first
+#: use (PEP 562) so that ``import repro.analysis.<module>`` loads only
+#: that module's own dependencies.
+_EXPORTS = {
+    "run_fig5": "repro.analysis.fig5",
+    "run_fig6": "repro.analysis.fig6",
+    "run_fig7": "repro.analysis.fig7",
+    "run_fig8": "repro.analysis.fig8",
+    "run_fig9": "repro.analysis.fig9",
+    "run_ablations": "repro.analysis.ablations",
+    "run_competitive": "repro.analysis.competitive",
+    "run_fig8_ci": "repro.analysis.confidence_runs",
+    "offline_oracle_admissions": "repro.analysis.competitive",
+    "render_chart": "repro.analysis.ascii_plot",
+    "figure_to_csv": "repro.analysis.export",
+    "figure_to_dict": "repro.analysis.export",
+    "results_to_json": "repro.analysis.export",
+    "write_json": "repro.analysis.export",
+    "ablate_k": "repro.analysis.ablations",
+    "ablate_online_k": "repro.analysis.ablations",
+    "ablate_topology_family": "repro.analysis.ablations",
+    "ablate_cost_model": "repro.analysis.ablations",
+    "ablate_thresholds": "repro.analysis.ablations",
+    "ablate_kmb_quality": "repro.analysis.ablations",
+    "FIG6_RATIOS": "repro.analysis.fig6",
+    "FIG7_RATIO": "repro.analysis.fig7",
+    "ExperimentProfile": "repro.analysis.profiles",
+    "FAST_PROFILE": "repro.analysis.profiles",
+    "PAPER_PROFILE": "repro.analysis.profiles",
+    "ONLINE_ALPHA_BETA": "repro.analysis.profiles",
+    "get_profile": "repro.analysis.profiles",
+    "EXPERIMENTS": "repro.analysis.report",
+    "run_all": "repro.analysis.report",
+    "run_experiment": "repro.analysis.report",
+    "build_experiments_markdown": "repro.analysis.report",
+    "FigureResult": "repro.analysis.series",
+    "Series": "repro.analysis.series",
+    "render_table": "repro.analysis.series",
+    "SampleSummary": "repro.analysis.stats",
+    "summarize": "repro.analysis.stats",
+    "aggregate_over_seeds": "repro.analysis.stats",
+    "curves_with_confidence": "repro.analysis.stats",
+    "t_quantile_975": "repro.analysis.stats",
+    "ClaimVerdict": "repro.analysis.verdicts",
+    "verify_results": "repro.analysis.verdicts",
+    "render_verdicts": "repro.analysis.verdicts",
+    "verdicts_markdown": "repro.analysis.verdicts",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    # An unknown name raises AttributeError, so ``from repro.analysis
+    # import fig5`` still falls back to importing the submodule.
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_EXPORTS[name]), name)
+    globals()[name] = value
+    return value

@@ -16,7 +16,7 @@ Claims are graded as:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.analysis.series import FigureResult
 

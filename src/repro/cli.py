@@ -260,16 +260,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_demo(size: int, seed: int) -> None:
-    from repro import (
-        OnlineCP,
-        SPOnline,
-        alg_one_server,
-        appro_multi,
-        build_sdn,
-        generate_workload,
-        gt_itm_flat,
-    )
+    from repro.core.appro_multi import appro_multi
+    from repro.core.baselines import SPOnline, alg_one_server
+    from repro.core.online_cp import OnlineCP
+    from repro.network.sdn import build_sdn
     from repro.stream import SequenceStream, StreamEngine
+    from repro.topology.random_graphs import gt_itm_flat
+    from repro.workload.generator import generate_workload
 
     graph = gt_itm_flat(size, seed=seed)
     network = build_sdn(graph, seed=seed)
@@ -444,6 +441,17 @@ def _run_stream_engine(args) -> int:
 
 def _run_stream(args) -> int:
     """``repro stream``: an emitter-instrumented figure-list replay."""
+    ignored = None
+    if args.checkpoint is not None and args.checkpoint_every is None:
+        ignored = ("--checkpoint", "--checkpoint-every")
+    elif args.workers is not None and args.shards is None:
+        ignored = ("--workers", "--shards")
+    if ignored is not None:
+        print(
+            f"error: {ignored[0]} has no effect without {ignored[1]}",
+            file=sys.stderr,
+        )
+        return 2
     if (
         args.workload is not None
         or args.resume is not None

@@ -9,11 +9,8 @@ adjacency-list :class:`Graph` with no third-party dependencies.
 
 from repro.graph.components import (
     bfs_reachable,
-    component_containing,
-    component_index,
     connected_components,
     is_connected,
-    same_component,
 )
 from repro.graph.csr import (
     CSRGraph,
@@ -22,15 +19,10 @@ from repro.graph.csr import (
     dijkstra_many,
     dijkstra_rows,
 )
-from repro.graph.exact_steiner import dreyfus_wagner, steiner_cost_exact
-from repro.graph.graph import Graph, edge_key, edges_of_path, path_weight
+from repro.graph.exact_steiner import dreyfus_wagner
+from repro.graph.graph import Graph, edge_key, path_weight
 from repro.graph.heap import IndexedHeap
-from repro.graph.mst import (
-    kruskal_mst,
-    minimum_spanning_tree,
-    mst_weight,
-    prim_mst,
-)
+from repro.graph.mst import kruskal_mst, prim_mst
 from repro.graph.shortest_paths import (
     INFINITY,
     ShortestPathTree,
@@ -70,14 +62,10 @@ __all__ = [
     "RootedTree",
     "INFINITY",
     "edge_key",
-    "edges_of_path",
     "path_weight",
     "bfs_reachable",
-    "component_containing",
-    "component_index",
     "connected_components",
     "is_connected",
-    "same_component",
     "ScaledDistances",
     "ScaledGraphView",
     "ScaledTree",
@@ -96,15 +84,12 @@ __all__ = [
     "eccentricity",
     "prim_mst",
     "kruskal_mst",
-    "minimum_spanning_tree",
-    "mst_weight",
     "metric_closure",
     "kmb_steiner_tree",
     "kmb_steiner_tree_cached",
     "steiner_tree_cost",
     "validate_steiner_tree",
     "dreyfus_wagner",
-    "steiner_cost_exact",
     "is_tree",
     "prune_leaves",
 ]

@@ -1,15 +1,14 @@
 """Connectivity queries: BFS reachability and connected components.
 
-``Appro_Multi_Cap`` must reject a request when, after pruning exhausted
-resources, no connected component contains the source, every destination, and
-at least one candidate server (Section IV-C of the paper).  These helpers
-answer that question without running a full shortest-path computation.
+The random-topology generators stitch a disconnected draw together one
+component at a time, and the tests check every generated topology with
+:func:`is_connected`; neither needs a shortest-path computation.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Set
+from typing import List, Set
 
 from repro.exceptions import NodeNotFoundError
 from repro.graph.graph import Graph, Node
@@ -48,36 +47,3 @@ def is_connected(graph: Graph) -> bool:
         return True
     start = next(iter(graph.nodes()))
     return len(bfs_reachable(graph, start)) == graph.num_nodes
-
-
-def same_component(graph: Graph, nodes: Iterable[Node]) -> bool:
-    """Return whether all ``nodes`` lie in one connected component.
-
-    Nodes absent from the graph make the answer ``False`` (they were pruned,
-    so they cannot be reached), which is the semantics the capacitated solver
-    needs.
-    """
-    wanted = list(nodes)
-    if not wanted:
-        return True
-    first = wanted[0]
-    if not graph.has_node(first):
-        return False
-    if any(not graph.has_node(node) for node in wanted[1:]):
-        return False
-    reachable = bfs_reachable(graph, first)
-    return all(node in reachable for node in wanted[1:])
-
-
-def component_containing(graph: Graph, node: Node) -> Set[Node]:
-    """Return the connected component containing ``node``."""
-    return bfs_reachable(graph, node)
-
-
-def component_index(graph: Graph) -> Dict[Node, int]:
-    """Return a map from each node to the index of its component."""
-    index: Dict[Node, int] = {}
-    for i, component in enumerate(connected_components(graph)):
-        for node in component:
-            index[node] = i
-    return index

@@ -430,12 +430,3 @@ def dijkstra_many(
         if source not in trees:
             trees[source] = engine.run_resolved(source, resolved)
     return trees
-
-
-def csr_tree_edges(tree: ShortestPathTree) -> Iterable[Tuple[Node, Node]]:
-    """Parent edges ``(parent, child)`` of a decoded tree (convenience)."""
-    return (
-        (parent, child)
-        for child, parent in tree.parent.items()
-        if parent is not None
-    )

@@ -105,12 +105,6 @@ def dreyfus_wagner(
     return best_cost, tree
 
 
-def steiner_cost_exact(graph: Graph, terminals: Sequence[Node]) -> float:
-    """Return just the optimal Steiner tree cost (convenience wrapper)."""
-    cost, _ = dreyfus_wagner(graph, terminals)
-    return cost
-
-
 def _dijkstra_relax(
     graph: Graph, table: Dict[Node, float], pointers: Dict[Node, _Back]
 ) -> None:

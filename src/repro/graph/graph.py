@@ -283,8 +283,3 @@ def path_weight(graph: Graph, path: List[Node]) -> float:
     An empty or single-node path has weight zero.
     """
     return sum(graph.weight(u, v) for u, v in zip(path, path[1:]))
-
-
-def edges_of_path(path: List[Node]) -> List[Edge]:
-    """Return the canonical edge keys traversed by a node path."""
-    return [edge_key(u, v) for u, v in zip(path, path[1:])]

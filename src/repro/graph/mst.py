@@ -11,7 +11,7 @@ test suite cross-check them against each other and against networkx.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional
 
 from repro.exceptions import DisconnectedGraphError
 from repro.graph.graph import Graph, Node
@@ -77,18 +77,3 @@ def kruskal_mst(graph: Graph) -> Graph:
         if components.union(u, v):
             forest.add_edge(u, v, weight)
     return forest
-
-
-def minimum_spanning_tree(graph: Graph) -> Graph:
-    """Return an MST of a connected graph (Prim; raises if disconnected)."""
-    return prim_mst(graph)
-
-
-def mst_weight(graph: Graph) -> float:
-    """Return the total weight of an MST of the (connected) graph."""
-    return prim_mst(graph).total_weight()
-
-
-def sorted_edge_list(graph: Graph) -> List[Tuple[Node, Node, float]]:
-    """Return all edges sorted by weight (ties broken arbitrarily)."""
-    return sorted(graph.edges(), key=lambda edge: edge[2])

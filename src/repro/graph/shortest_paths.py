@@ -139,15 +139,6 @@ def all_pairs_shortest_paths(
     return {source: dijkstra(graph, source) for source in chosen}
 
 
-def shortest_path_tree_edges(tree: ShortestPathTree) -> List[tuple]:
-    """Return the parent edges ``(parent, child)`` of a shortest-path tree."""
-    return [
-        (parent, child)
-        for child, parent in tree.parent.items()
-        if parent is not None
-    ]
-
-
 def eccentricity(graph: Graph, node: Node) -> float:
     """Return the greatest shortest-path distance from ``node``.
 

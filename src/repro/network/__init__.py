@@ -8,7 +8,6 @@ from repro.network.controller import (
     TableCapacityExceededError,
 )
 from repro.network.elements import LinkState, ServerState
-from repro.network.placement import VMRegistry
 from repro.network.sdn import (
     DEFAULT_BANDWIDTH_RANGE,
     DEFAULT_COMPUTE_RANGE,
@@ -27,7 +26,6 @@ __all__ = [
     "LinkState",
     "ServerState",
     "AllocationTransaction",
-    "VMRegistry",
     "Controller",
     "TableCapacityExceededError",
     "FlowRule",

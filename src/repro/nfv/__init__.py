@@ -1,22 +1,18 @@
-"""NFV substrate: network functions, service chains, and VM instances."""
+"""NFV substrate: network functions and service chains."""
 
 from repro.nfv.functions import (
     FUNCTION_CATALOGUE,
     FunctionType,
     NetworkFunction,
     all_function_types,
-    get_function,
 )
 from repro.nfv.service_chain import ServiceChain, random_service_chain
-from repro.nfv.vm import VMInstance
 
 __all__ = [
     "FunctionType",
     "NetworkFunction",
     "FUNCTION_CATALOGUE",
-    "get_function",
     "all_function_types",
     "ServiceChain",
     "random_service_chain",
-    "VMInstance",
 ]

@@ -81,11 +81,6 @@ FUNCTION_CATALOGUE: Dict[FunctionType, NetworkFunction] = {
 }
 
 
-def get_function(kind: FunctionType) -> NetworkFunction:
-    """Return the catalogue entry for ``kind``."""
-    return FUNCTION_CATALOGUE[kind]
-
-
 def all_function_types() -> List[FunctionType]:
     """Return every catalogued function type, in a stable order."""
     return list(FunctionType)

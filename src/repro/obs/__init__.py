@@ -71,7 +71,6 @@ from repro.obs.tracing import (
 from repro.obs.window import (
     DEFAULT_COST_BOUNDS,
     DEFAULT_LATENCY_BOUNDS,
-    EmaRate,
     FixedBucketHistogram,
     SlidingWindowCounter,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "DEFAULT_COST_BOUNDS",
     "DEFAULT_LATENCY_BOUNDS",
     "DashboardState",
-    "EmaRate",
     "FixedBucketHistogram",
     "JsonlSink",
     "MetricsRegistry",

@@ -3,7 +3,7 @@
 Long-running admission services cannot afford end-of-run aggregates: the
 streaming engine (ROADMAP item 1) needs p99 admission latency, rolling
 admission rates, and per-window counts while the request stream is still
-flowing, all in O(1) memory per metric.  This module provides the three
+flowing, all in O(1) memory per metric.  This module provides the two
 aggregator shapes the emitter and dashboard build on:
 
 - :class:`FixedBucketHistogram` — observations land in a *fixed* set of
@@ -14,17 +14,13 @@ aggregator shapes the emitter and dashboard build on:
   <repro.obs.registry.MetricsRegistry.merge>`) reproduces a serial run's
   counts bit-for-bit for any worker partition of a deterministic value
   stream.
-- :class:`EmaRate` — an exponential moving average over a sample stream
-  (e.g. per-snapshot admission rate).  Purely arithmetic: the smoothing is
-  a function of the sample sequence, never of wall time.
 - :class:`SlidingWindowCounter` — a ring of per-tick slots covering the
   last ``window`` ticks; the emitter advances it once per flush to derive
   rolling rates over a bounded horizon.
 
-None of these classes read a clock: ticks, samples, and observations are
-supplied by the caller, which is what keeps every derived value a pure
-function of the event stream (and thus identical across reruns and worker
-counts).
+Neither class reads a clock: ticks and observations are supplied by the
+caller, which is what keeps every derived value a pure function of the
+event stream (and thus identical across reruns and worker counts).
 """
 
 from __future__ import annotations
@@ -35,7 +31,6 @@ from typing import Dict, Iterable, List, Mapping, Tuple
 __all__ = [
     "DEFAULT_COST_BOUNDS",
     "DEFAULT_LATENCY_BOUNDS",
-    "EmaRate",
     "FixedBucketHistogram",
     "SlidingWindowCounter",
 ]
@@ -211,40 +206,6 @@ class FixedBucketHistogram:
         return (
             f"FixedBucketHistogram(buckets={len(self.counts)}, "
             f"count={self.count}, sum={self.sum:.6f})"
-        )
-
-
-class EmaRate:
-    """Exponential moving average over an explicit sample stream.
-
-    ``update(sample)`` folds one sample in and returns the new average;
-    the first sample initializes the level directly (no zero-bias ramp).
-    The smoothing depends only on the sample *sequence* — there is no
-    clock anywhere — so two replays of the same stream agree exactly.
-    """
-
-    __slots__ = ("alpha", "value", "samples")
-
-    def __init__(self, alpha: float = 0.3) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        self.alpha = alpha
-        self.value = 0.0
-        self.samples = 0
-
-    def update(self, sample: float) -> float:
-        """Fold one sample; returns the updated average."""
-        if self.samples == 0:
-            self.value = float(sample)
-        else:
-            self.value += self.alpha * (float(sample) - self.value)
-        self.samples += 1
-        return self.value
-
-    def __repr__(self) -> str:
-        return (
-            f"EmaRate(alpha={self.alpha}, value={self.value:.6f}, "
-            f"samples={self.samples})"
         )
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from typing import Hashable, Iterable, List, Optional, Tuple
+from typing import Hashable, Iterable, List, Tuple
 
 from repro.exceptions import SimulationError
 from repro.graph.graph import edge_key

@@ -33,7 +33,7 @@ from __future__ import annotations
 import abc
 import enum
 from dataclasses import dataclass, replace
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+from typing import Hashable, List, Optional, Set, Tuple
 
 from repro.core.admission import try_allocate
 from repro.core.appro_multi import DEFAULT_MAX_SERVERS, appro_multi_cap

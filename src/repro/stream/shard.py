@@ -41,7 +41,6 @@ from repro.exceptions import SimulationError
 from repro.network.controller import Controller
 from repro.network.sdn import SDNetwork
 from repro.obs.emitter import SnapshotEmitter
-from repro.obs.window import FixedBucketHistogram
 from repro.simulation.parallel import parallel_map
 from repro.stream.engine import StreamEngine, StreamStats
 from repro.stream.workloads import (

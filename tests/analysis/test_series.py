@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import FigureResult, Series, render_table
+from repro.analysis import FigureResult, render_table
 
 
 @pytest.fixture

@@ -5,7 +5,6 @@ import math
 import pytest
 
 from repro.analysis import (
-    SampleSummary,
     aggregate_over_seeds,
     curves_with_confidence,
     summarize,

@@ -1,7 +1,5 @@
 """Unit tests for executable paper-claim verification."""
 
-import pytest
-
 from repro.analysis import (
     ClaimVerdict,
     FigureResult,

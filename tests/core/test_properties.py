@@ -10,7 +10,6 @@ from repro.core import (
     validate_pseudo_tree,
 )
 from repro.core.cost_model import ExponentialCostModel
-from repro.exceptions import InfeasibleRequestError
 from repro.network import build_sdn
 from repro.nfv import all_function_types, ServiceChain
 from repro.topology import waxman_graph

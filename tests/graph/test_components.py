@@ -6,11 +6,8 @@ from repro.exceptions import NodeNotFoundError
 from repro.graph import (
     Graph,
     bfs_reachable,
-    component_containing,
-    component_index,
     connected_components,
     is_connected,
-    same_component,
 )
 
 
@@ -42,29 +39,3 @@ class TestComponents:
         assert not is_connected(two_islands)
         assert is_connected(triangle)
         assert is_connected(Graph())  # vacuous
-
-    def test_component_containing(self, two_islands):
-        assert component_containing(two_islands, "x") == {"x", "y"}
-
-    def test_component_index_consistency(self, two_islands):
-        index = component_index(two_islands)
-        assert index["a"] == index["b"] == index["c"]
-        assert index["x"] == index["y"]
-        assert index["a"] != index["x"]
-        assert len(set(index.values())) == 3
-
-
-class TestSameComponent:
-    def test_positive(self, two_islands):
-        assert same_component(two_islands, ["a", "c"])
-        assert same_component(two_islands, ["a"])
-        assert same_component(two_islands, [])
-
-    def test_negative(self, two_islands):
-        assert not same_component(two_islands, ["a", "x"])
-        assert not same_component(two_islands, ["a", "lonely"])
-
-    def test_pruned_nodes_are_false(self, two_islands):
-        # nodes absent from the graph (e.g. pruned for lack of capacity)
-        assert not same_component(two_islands, ["a", "ghost"])
-        assert not same_component(two_islands, ["ghost", "a"])

@@ -9,7 +9,6 @@ from repro.graph import (
     Graph,
     dreyfus_wagner,
     is_tree,
-    steiner_cost_exact,
     validate_steiner_tree,
 )
 from repro.topology import grid_graph, waxman_graph
@@ -110,6 +109,3 @@ class TestTreeReconstruction:
         cost, tree = dreyfus_wagner(graph, terminals)
         assert tree.total_weight() == pytest.approx(cost)
         validate_steiner_tree(graph, tree, terminals)
-
-    def test_wrapper(self, triangle):
-        assert steiner_cost_exact(triangle, ["a", "c"]) == pytest.approx(3.0)

@@ -8,7 +8,7 @@ from repro.exceptions import (
     InvalidWeightError,
     NodeNotFoundError,
 )
-from repro.graph import Graph, edge_key, edges_of_path, path_weight
+from repro.graph import Graph, edge_key, path_weight
 
 
 class TestConstruction:
@@ -215,9 +215,3 @@ class TestHelpers:
         assert path_weight(triangle, ["a", "b", "c"]) == pytest.approx(3.0)
         assert path_weight(triangle, ["a"]) == 0.0
         assert path_weight(triangle, []) == 0.0
-
-    def test_edges_of_path(self):
-        assert edges_of_path(["a", "b", "c"]) == [
-            edge_key("a", "b"),
-            edge_key("b", "c"),
-        ]

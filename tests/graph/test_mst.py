@@ -8,11 +8,8 @@ from repro.graph import (
     Graph,
     is_tree,
     kruskal_mst,
-    minimum_spanning_tree,
-    mst_weight,
     prim_mst,
 )
-from repro.graph.mst import sorted_edge_list
 from repro.topology import waxman_graph
 
 
@@ -80,13 +77,3 @@ class TestAgreement:
         )
         assert prim_weight == pytest.approx(kruskal_weight)
         assert prim_weight == pytest.approx(nx_weight)
-
-    def test_wrappers(self, triangle):
-        assert mst_weight(triangle) == pytest.approx(3.0)
-        assert minimum_spanning_tree(triangle).num_edges == 2
-
-
-class TestHelpers:
-    def test_sorted_edge_list(self, triangle):
-        weights = [w for _, _, w in sorted_edge_list(triangle)]
-        assert weights == sorted(weights)

@@ -14,7 +14,6 @@ from repro.graph import (
     shortest_path_length,
     single_source_distances,
 )
-from repro.graph.shortest_paths import shortest_path_tree_edges
 from repro.topology import waxman_graph
 
 
@@ -66,7 +65,11 @@ class TestDijkstra:
 
     def test_tree_edges_are_parent_child(self, line_graph):
         tree = dijkstra(line_graph, "n0")
-        edges = shortest_path_tree_edges(tree)
+        edges = [
+            (parent, child)
+            for child, parent in tree.parent.items()
+            if parent is not None
+        ]
         assert ("n0", "n1") in edges
         assert len(edges) == 5
 

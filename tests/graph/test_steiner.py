@@ -11,7 +11,6 @@ from repro.graph import (
     compile_csr,
     dijkstra,
     dreyfus_wagner,
-    is_tree,
     kmb_steiner_tree,
     kmb_steiner_tree_cached,
     metric_closure,

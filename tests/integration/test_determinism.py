@@ -7,8 +7,6 @@ construction: no component uses `hash()`-derived seeds or dict-order-
 dependent iteration over non-deterministic sets.
 """
 
-import pytest
-
 from repro.analysis import ExperimentProfile, figure_to_dict, run_fig5
 from repro.core import OnlineCP, appro_multi
 from repro.network import build_sdn

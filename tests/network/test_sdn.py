@@ -7,14 +7,13 @@ from repro.exceptions import (
     NetworkModelError,
     NodeNotFoundError,
 )
-from repro.graph import Graph, is_connected
+from repro.graph import Graph
 from repro.network import (
     DEFAULT_BANDWIDTH_RANGE,
     DEFAULT_COMPUTE_RANGE,
     SDNetwork,
     build_sdn,
 )
-from repro.topology import waxman_graph
 
 
 class TestBuildSdn:

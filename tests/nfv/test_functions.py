@@ -7,7 +7,6 @@ from repro.nfv import (
     FunctionType,
     NetworkFunction,
     all_function_types,
-    get_function,
 )
 
 
@@ -17,9 +16,9 @@ class TestCatalogue:
         assert set(FUNCTION_CATALOGUE) == set(FunctionType)
 
     def test_get_function(self):
-        firewall = get_function(FunctionType.FIREWALL)
-        assert firewall.kind is FunctionType.FIREWALL
-        assert firewall.base_compute > 0
+        for kind, fn in FUNCTION_CATALOGUE.items():
+            assert fn.kind is kind
+            assert fn.base_compute > 0
 
     def test_relative_costs(self):
         # IDS is the most expensive; NAT the cheapest (per the cited sources)
@@ -47,9 +46,12 @@ class TestNetworkFunction:
         assert fn.compute_demand(100.0) == pytest.approx(210.0)
 
     def test_negative_bandwidth_raises(self):
-        fn = get_function(FunctionType.PROXY)
+        fn = FUNCTION_CATALOGUE[FunctionType.PROXY]
         with pytest.raises(ValueError):
             fn.compute_demand(-1.0)
 
     def test_name(self):
-        assert get_function(FunctionType.LOAD_BALANCER).name == "load_balancer"
+        assert (
+            FUNCTION_CATALOGUE[FunctionType.LOAD_BALANCER].name
+            == "load_balancer"
+        )

@@ -5,7 +5,6 @@ import pytest
 from repro.obs.window import (
     DEFAULT_COST_BOUNDS,
     DEFAULT_LATENCY_BOUNDS,
-    EmaRate,
     FixedBucketHistogram,
     SlidingWindowCounter,
 )
@@ -177,34 +176,6 @@ class TestHistogramMerge:
         data = FixedBucketHistogram((1.0,)).as_dict()
         assert data["min"] == 0.0
         assert data["count"] == 0
-
-
-class TestEmaRate:
-    def test_first_sample_initializes_level(self):
-        ema = EmaRate(alpha=0.5)
-        assert ema.update(10.0) == 10.0
-
-    def test_smoothing_moves_toward_samples(self):
-        ema = EmaRate(alpha=0.5)
-        ema.update(0.0)
-        assert ema.update(10.0) == 5.0
-        assert ema.update(10.0) == 7.5
-
-    def test_replay_is_exact(self):
-        stream = [0.1, 0.9, 0.4, 0.8, 0.2]
-        first = EmaRate(alpha=0.3)
-        second = EmaRate(alpha=0.3)
-        for sample in stream:
-            first.update(sample)
-        for sample in stream:
-            second.update(sample)
-        assert first.value == second.value
-
-    def test_rejects_bad_alpha(self):
-        with pytest.raises(ValueError):
-            EmaRate(alpha=0.0)
-        with pytest.raises(ValueError):
-            EmaRate(alpha=1.5)
 
 
 class TestSlidingWindowCounter:

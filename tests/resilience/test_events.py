@@ -6,7 +6,6 @@ from repro.exceptions import SimulationError
 from repro.nfv import FunctionType, ServiceChain
 from repro.resilience.events import (
     ElementKind,
-    FailureEvent,
     apply_event,
     deterministic_schedule,
     exponential_failures,

@@ -80,6 +80,15 @@ class TestStreamCheckpointResume:
             "--checkpoint-every", "10",
         ]) == 2
 
+    def test_checkpoint_path_needs_checkpoint_every(self, tmp_path, capsys):
+        ckpt = tmp_path / "c.ckpt"
+        assert main([
+            "stream", "--requests", "20", "--checkpoint", str(ckpt),
+            "--out", str(tmp_path / "run.jsonl"),
+        ]) == 2
+        assert "--checkpoint-every" in capsys.readouterr().err
+        assert not ckpt.exists()
+
 
 class TestStreamShards:
     def test_sharded_run_prints_merged_digest(self, tmp_path, capsys):
@@ -99,6 +108,13 @@ class TestStreamShards:
 
         assert "200 requests across 2 shards" in first
         assert merged_digest(first) == merged_digest(second)
+
+    def test_workers_need_shards(self, tmp_path, capsys):
+        assert main([
+            "stream", "--workload", "poisson", "--requests", "20",
+            "--workers", "2", "--out", str(tmp_path / "run.jsonl"),
+        ]) == 2
+        assert "--shards" in capsys.readouterr().err
 
 
 class TestStreamBenchTarget:
