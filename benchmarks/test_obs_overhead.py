@@ -27,7 +27,8 @@ machine and records them under the ``"stream"`` key of ``BENCH_obs.json``;
 :func:`check_stream_overhead` re-runs the measurement fresh, in memory,
 and asserts the ratio.
 
-Run without pytest::
+Run without pytest (prints PASS/FAIL per half and exits 1 if either
+half fails)::
 
     PYTHONPATH=src python -m repro.cli bench --output BENCH_obs.json
     PYTHONPATH=src python benchmarks/test_obs_overhead.py
@@ -125,17 +126,19 @@ def test_stream_overhead_within_contract():
 
 
 if __name__ == "__main__":
+    import sys
+
+    failed = False
     for label, outcome in (
         ("disabled", check_overhead()),
         ("stream", check_stream_overhead()),
     ):
         print(json.dumps(outcome, indent=2, sort_keys=True))
-        status = (
-            "PASS"
-            if outcome["ratio"] <= outcome["max_allowed_ratio"]
-            else "FAIL"
-        )
+        passed = outcome["ratio"] <= outcome["max_allowed_ratio"]
+        failed = failed or not passed
         print(
-            f"{status} ({label}): {outcome['ratio']:.3f}x "
+            f"{'PASS' if passed else 'FAIL'} ({label}): "
+            f"{outcome['ratio']:.3f}x "
             f"(limit {outcome['max_allowed_ratio']:.2f}x)"
         )
+    sys.exit(1 if failed else 0)

@@ -11,8 +11,8 @@ integer indices:
   weight)`` pairs per node; :class:`CSRGraph` also takes such rows
   directly (the priced graphs of ``Online_CP``, see
   :class:`~repro.core.cost_model.LinkPrices`);
-- one search loop fills fresh index rows (distance, parent) and records
-  the settle order and the first-relaxation order, with the same
+- one search fills fresh index rows (distance, parent) and records the
+  settle order and the first-relaxation order, with the same
   ``targets=`` early exit as the dict engine;
 - :func:`dijkstra_rows` returns those rows as they are — the input of the
   flat solver cores;
@@ -23,29 +23,51 @@ integer indices:
   :func:`~repro.graph.steiner.metric_closure` and the per-request origin
   warm-up of :meth:`~repro.graph.spcache.ShortestPathCache.warm`.
 
-**Bit-identity contract.**  The kernel is a faithful replica of the dict
-engine, not merely an equivalent one: nodes are interned in
-``graph.nodes()`` order and neighbors laid out in ``neighbor_items()``
-order, distances accumulate in the same float order (``settled + weight``),
-and the heap reproduces :class:`~repro.graph.heap.IndexedHeap` comparison
-for comparison (``<=`` on sift-up, strict ``<`` child selection and ``>=``
-stop on sift-down, last-entry-to-root on pop).  Equal-priority pops
-therefore resolve in exactly the order the dict engine resolves them —
-which is what pins parent choice among cost ties — and the decoded
+**Bit-identity contract.**  The kernel's results equal the dict engine's
+exactly, not merely equivalently: nodes are interned in ``graph.nodes()``
+order and neighbors laid out in ``neighbor_items()`` order, distances
+accumulate in the same float order (``settled + weight``), and the decoded
 :class:`~repro.graph.shortest_paths.ShortestPathTree` matches the dict
 engine's **including dict insertion order** of ``distance`` (settle order)
-and ``parent`` (first-relaxation order).  A d-ary heap would be faster per
-pop but reorders equal-priority pops, so a binary layout is load-bearing
-here; the differential harness and the hypothesis suite in
-``tests/graph/test_csr.py`` hold the replica to the original.
+and ``parent`` (first-relaxation order).
+
+Two loops keep that contract.  The search runs on the C ``heapq`` with
+lazy deletion.  Each node's live entry carries its current distance, and
+an entry above it is stale and skipped.  While every live pop is strictly
+above the previous one, the minimum is unique at every pop, so the
+distances alone force the settle order; the same settle order relaxes
+the same edges in the same order, which gives the same distances,
+parents and first relaxations as the dict engine, whatever the heap's
+tie order.  Exactness is lost only where two live entries share the
+minimum.  The later of them pops next at the same priority (no
+non-negative weight can undercut it), unless a targeted search stops
+first.  So the loop checks two conditions, each written as ``priority <=
+last`` (pops never decrease, so this is an exact equality test):
+
+- a live pop does not strictly exceed the previous live pop;
+- at a targeted stop, the live heap top does not strictly exceed the
+  last pop.
+
+On either, the search reruns from the source on the replica loop, which
+reproduces :class:`~repro.graph.heap.IndexedHeap` comparison for
+comparison (``<=`` on sift-up, strict ``<`` child selection and ``>=``
+stop on sift-down, last-entry-to-root on pop), so equal-priority pops
+resolve in exactly the order the dict engine resolves them — which is
+what pins parent choice among cost ties.  The binary layout is
+load-bearing only in that fallback; the ``csr.dijkstra.tie_fallbacks``
+counter counts its runs.  Priced ``Online_CP`` graphs and the real
+topologies' link costs rarely tie; unit-cost hop searches tie often.  The
+hypothesis suite in ``tests/graph/test_csr.py`` draws tie-heavy weights,
+so both loops are held to the dict engine.
 
 A targeted search's rows are exact at every node it settled — a settled
 node's distance and parent never change afterwards — and hold tentative
 values at nodes it only reached; consumers read such rows at the targets
 alone.
 
-The kernel is deliberately pure Python (the repo runs dependency-free):
-inside the search loop, list indexing is faster than numpy scalar access.
+The kernel is deliberately pure Python plus the standard library's C
+``heapq`` (the repo runs dependency-free): inside the search loop, list
+indexing is faster than numpy scalar access.
 
 **Finite-weight precondition.**  The engine uses ``dist[i] == inf`` as the
 "not yet improved" sentinel, which folds the settled-node check into the
@@ -62,6 +84,7 @@ the same domain the paper's cost model uses and Dijkstra requires anyway.
 
 from __future__ import annotations
 
+from heapq import heappop as _heappop, heappush as _heappush
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import InvalidWeightError, NodeNotFoundError
@@ -273,7 +296,7 @@ class _CSRDijkstra:
             raise NodeNotFoundError(source) from None
 
     # ------------------------------------------------------------------
-    # the search loop (inlined heap — this loop is the whole point)
+    # the search loop (C heap, replica fallback — this loop is the point)
     # ------------------------------------------------------------------
     def _search(
         self, source_idx: int, resolved: Optional[frozenset]
@@ -283,14 +306,73 @@ class _CSRDijkstra:
         Returns ``(dist, parent, settled, relaxed)``: the index rows, the
         settle order, and the first-relaxation order of every node other
         than the source.  With ``resolved`` given the search stops once
-        every index in it has popped.  The flat binary heap replicates
-        ``IndexedHeap`` operation for operation — see the module docstring
-        for why tie order matters.  ``pos`` is only meaningful for queued
-        nodes: a settled node's slot goes stale rather than being written
-        back, because nothing reads it (a settled node can never win the
-        relaxation comparison).
+        every index in it has popped.
+
+        Runs on ``heapq`` with lazy deletion: an entry whose priority is
+        above its node's current distance is stale and skipped.  While the
+        live pops strictly increase, the distances alone force the settle
+        order, so every output equals the replica's (see the module
+        docstring).  The search hands over to :meth:`_replica_search`,
+        rerun from the source, on a tie: a live pop not above the previous
+        one, or, at a targeted stop, a live heap top not above the last
+        pop.  ``parent[i] < 0`` marks a node never relaxed (the source is
+        never relaxed: no candidate beats its ``0.0``).
         """
         _obs_inc("csr.dijkstra.calls")
+        adj = self._adj
+        dist = [_INF] * self._size
+        parent = [-1] * self._size
+        pending = None if resolved is None else set(resolved)
+        settled: List[int] = []
+        relaxed: List[int] = []
+        settle = settled.append
+        relax = relaxed.append
+        heap: List[Tuple[float, int]] = [(0.0, source_idx)]
+        dist[source_idx] = 0.0
+        last = -_INF
+        while heap:
+            node_dist, node = _heappop(heap)
+            if node_dist > dist[node]:
+                continue  # stale: the node was reached more cheaply since
+            if node_dist <= last:
+                return self._replica_search(source_idx, resolved)
+            last = node_dist
+            settle(node)
+            if pending is not None:
+                pending.discard(node)
+                if not pending:
+                    while heap and heap[0][0] > dist[heap[0][1]]:
+                        _heappop(heap)
+                    if heap and heap[0][0] <= last:
+                        return self._replica_search(source_idx, resolved)
+                    break
+            for neighbor, weight in adj[node]:
+                # The sum is recomputed on accept: most relaxations reject,
+                # and comparing inline keeps that majority path one local
+                # store shorter (same operands, bit-identical result).
+                if node_dist + weight < dist[neighbor]:
+                    candidate = node_dist + weight
+                    dist[neighbor] = candidate
+                    if parent[neighbor] < 0:
+                        relax(neighbor)
+                    parent[neighbor] = node
+                    _heappush(heap, (candidate, neighbor))
+        return dist, parent, settled, relaxed
+
+    def _replica_search(
+        self, source_idx: int, resolved: Optional[frozenset]
+    ) -> Tuple[List[float], List[int], List[int], List[int]]:
+        """:meth:`_search` on a flat replica of ``IndexedHeap``: the tie path.
+
+        Same inputs and outputs.  The flat binary heap replicates
+        ``IndexedHeap`` operation for operation, so equal-priority pops
+        resolve exactly as the dict engine resolves them — see the module
+        docstring.  ``pos`` is only meaningful for queued nodes: a settled
+        node's slot goes stale rather than being written back, because
+        nothing reads it (a settled node can never win the relaxation
+        comparison).
+        """
+        _obs_inc("csr.dijkstra.tie_fallbacks")
         n = self._size
         adj = self._adj
         dist = [_INF] * n

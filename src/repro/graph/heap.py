@@ -1,10 +1,20 @@
 """An addressable binary min-heap with decrease-key.
 
 Dijkstra and Prim both want a priority queue that supports lowering the
-priority of an element already in the queue.  The standard-library ``heapq``
-only offers lazy deletion; this indexed heap keeps a position map so that
-``decrease_key`` is a true ``O(log n)`` operation and the queue never holds
-stale entries, which keeps memory bounded during long online simulations.
+priority of an element already in the queue.  This indexed heap keeps a
+position map so that ``decrease_key`` is a true ``O(log n)`` operation and
+the queue never holds stale entries.
+
+Its users are the dict :func:`~repro.graph.shortest_paths.dijkstra` oracle,
+:func:`~repro.graph.mst.prim_mst` and the exact Steiner solver's
+relaxation.  For them the standard-library ``heapq`` with lazy deletion is
+unsuitable: this heap's sift order decides which of several equal
+priorities pops first, which decides parents and attachments among cost
+ties, and the flat replicas reproduce that order comparison for comparison
+(:func:`~repro.graph.steiner.prim_closure`, the combination evaluator, and
+the CSR kernel's tie fallback).  The CSR kernel's own fast path does run on
+``heapq``: it hands every search with a tied pop to its replica (see
+:mod:`repro.graph.csr`).
 """
 
 from __future__ import annotations

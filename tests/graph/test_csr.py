@@ -6,14 +6,15 @@ but against **exact equality including dict insertion order**, because the
 solvers' tie-breaking (which parent a node gets among equal-cost paths,
 which combination an enumeration visits first) rides on that order.  The
 hypothesis strategies deliberately draw tie-heavy weights so equal-priority
-heap traffic — where a non-replica heap would diverge — is the common case,
-not the rare one.
+heap traffic — where the ``heapq`` loop must hand over to its
+``IndexedHeap`` replica — is the common case, not the rare one.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.exceptions import GraphError, InvalidWeightError, NodeNotFoundError
 from repro.graph import (
     CSRGraph,
@@ -179,6 +180,103 @@ def test_consecutive_searches_share_one_workspace():
     # and a targeted (early-exit) run in between leaves no residue either
     dijkstra_csr(csr, 0, targets={1})
     assert_trees_identical(first[2], dijkstra_csr(csr, 2))
+
+
+# ---------------------------------------------------------------------------
+# the heapq fast path and its tie fallback
+# ---------------------------------------------------------------------------
+
+
+def _counted(run):
+    """``run()`` with telemetry on: its result, searches and fallbacks."""
+    obs.enable()
+    before = obs.counters()
+    try:
+        result = run()
+    finally:
+        obs.disable()
+    delta = obs.counters_since(before)
+    return (
+        result,
+        delta.get("csr.dijkstra.calls", 0),
+        delta.get("csr.dijkstra.tie_fallbacks", 0),
+    )
+
+
+def _graph(nodes, edges):
+    """A graph with nodes interned in the given order."""
+    graph = Graph()
+    for node in nodes:
+        graph.add_node(node)
+    for u, v, weight in edges:
+        graph.add_edge(u, v, weight)
+    return graph
+
+
+@pytest.mark.parametrize(
+    "edges, settled, joined",
+    [
+        # unit-weight 4-cycle: 3 and 1 tie at 1.0, 3 queued first
+        (
+            [(0, 3, 1.0), (0, 1, 1.0), (1, 2, 1.0), (3, 2, 1.0)],
+            [0, 3, 1, 2],
+            (2, 3),
+        ),
+        # zero-weight edges: 2 and 1 tie with the source at 0.0
+        (
+            [(0, 2, 0.0), (0, 1, 0.0), (1, 3, 1.0), (2, 3, 1.0)],
+            [0, 2, 1, 3],
+            (3, 2),
+        ),
+    ],
+    ids=["unit-4-cycle", "zero-weight"],
+)
+def test_pop_tie_falls_back_to_the_replica(edges, settled, joined):
+    """Equal live pops hand the search to the replica, which keeps the
+    dict engine's tie order: the tied node queued first settles first and
+    parents the far node, although its index is the larger one."""
+    graph = _graph([0, 1, 2, 3], edges)
+    csr = compile_csr(graph)
+    tree, calls, fallbacks = _counted(lambda: dijkstra_csr(csr, 0))
+    assert (calls, fallbacks) == (1, 1)
+    assert list(tree.distance) == settled
+    node, parent = joined
+    assert tree.parent[node] == parent
+    assert_trees_identical(dijkstra(graph, 0), tree)
+
+
+def test_targeted_stop_tie_falls_back_to_the_replica():
+    """A tie only the stop check sees: target 1 pops at 1.0 while node 3,
+    queued first at the same 1.0, is still live.  The replica settles 3
+    first and reaches 2 from it; stopping at the pop would not."""
+    graph = _graph(
+        [0, 1, 3, 2],
+        [(0, 3, 1.0), (0, 1, 1.0), (3, 2, 1.0), (1, 2, 5.0)],
+    )
+    csr = compile_csr(graph)
+    tree, calls, fallbacks = _counted(lambda: dijkstra_csr(csr, 0, {1}))
+    assert (calls, fallbacks) == (1, 1)
+    assert list(tree.distance) == [0, 3, 1]
+    assert tree.parent[2] == 3
+    assert_trees_identical(dijkstra(graph, 0, targets={1}), tree)
+
+
+@pytest.mark.parametrize(
+    "name, searches", [("GEANT", 40), ("AS1755", 87), ("AS4755", 41)]
+)
+def test_real_topology_sweeps_take_the_fast_path(name, searches):
+    """All-origins sweeps of the figures' real topologies tie nowhere, so
+    no search falls back: a tie check that always fired would still give
+    right answers, only slowly."""
+    from repro.analysis.common import build_real_network
+
+    graph = build_real_network(name, 20170605).graph
+    csr = compile_csr(graph)
+    nodes = list(graph.nodes())
+    trees, calls, fallbacks = _counted(lambda: dijkstra_many(csr, nodes))
+    assert (calls, fallbacks) == (searches, 0)
+    for source in nodes[:5]:
+        assert_trees_identical(dijkstra(graph, source), trees[source])
 
 
 # ---------------------------------------------------------------------------
